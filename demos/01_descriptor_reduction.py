@@ -6,6 +6,9 @@ projects onto the top principal directions of the normalized population,
 and renormalizes, which keeps Euclidean matching meaningful afterwards.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from loopdet import (
@@ -47,7 +50,9 @@ norms = np.linalg.norm(reduced.descriptors, axis=1)
 print(f"reduced set: dim={reduced.dim}, norms in [{norms.min():.6f}, {norms.max():.6f}]")
 
 # the model round-trips through its binary file format
-save_pca_model("/tmp/demo_model.fpca", model)
-loaded = load_pca_model("/tmp/demo_model.fpca")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_model.fpca")
+    save_pca_model(path, model)
+    loaded = load_pca_model(path)
 drift = np.abs(loaded.basis - model.basis).max()
 print(f"\nmodel file round trip: max basis drift {drift:.2e} (float32 storage)")

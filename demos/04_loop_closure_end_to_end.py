@@ -1,9 +1,9 @@
 """End-to-end walkthrough: synthetic trajectory in, loop detections out.
 
 A 1,200-frame trajectory revisits two of its earlier stretches.  Frames are
-fed to the online pipeline one at a time; the FIFO queue holds the latest
-psi * phi frames out of the index so a query can never match its immediate
-past.  Detections require beta consecutive geometrically verified frames.
+fed to the online pipeline one at a time by ``run_pipeline``; the FIFO queue
+holds the latest psi * phi frames out of the index so a query can never
+match its immediate past.  Detections require beta consecutive geometrically verified frames.
 A final threshold sweep shows the precision/recall trade-off.
 """
 
@@ -11,13 +11,13 @@ import time
 
 from loopdet import (
     HnswParams,
-    LoopClosurePipeline,
     PipelineConfig,
     RevisitSegment,
     SynthConfig,
     generate_synthetic,
     pr_curve,
     recall_at_full_precision,
+    run_pipeline,
     score,
 )
 
@@ -50,13 +50,8 @@ dataset = generate_synthetic(
 print(f"trajectory: {len(dataset.frames)} frames, "
       f"{dataset.ground_truth.positive_queries} labeled loop events")
 
-pipeline = LoopClosurePipeline(config, dataset.dim_global)
-detections = []
 t0 = time.perf_counter()
-for frame_id, g, locals_ in dataset.frames:
-    det = pipeline.process_frame(frame_id, g, locals_)
-    if det is not None:
-        detections.append(det)
+detections, pipeline = run_pipeline(dataset.frames, config, dataset.dim_global)
 elapsed = time.perf_counter() - t0
 print(f"processed at {elapsed / len(dataset.frames) * 1e3:.2f} ms/frame, "
       f"{len(detections)} loop closures reported")

@@ -20,7 +20,6 @@ from .container import (
 from .descriptors import (
     DegenerateDescriptorError,
     GlobalDescriptor,
-    LocalFeature,
     LocalFeatureSet,
     PcaModel,
     filter_by_score,
@@ -28,7 +27,6 @@ from .descriptors import (
     l2_normalize,
     load_pca_model,
     reduce_features,
-    reduce_local,
     save_pca_model,
 )
 from .evaluation import (
@@ -37,10 +35,8 @@ from .evaluation import (
     PlantedLoop,
     PrPoint,
     RevisitSegment,
-    StageStats,
     SynthConfig,
     SyntheticDataset,
-    TimingReport,
     exact_knn,
     generate_synthetic,
     mean_recall,
@@ -48,7 +44,6 @@ from .evaluation import (
     read_ground_truth,
     recall_at_full_precision,
     score,
-    timing_harness,
     write_ground_truth,
 )
 from .geometry import (
@@ -58,7 +53,6 @@ from .geometry import (
     VerificationResult,
     brute_force_match,
     eight_point,
-    epipolar_error,
     ransac_fundamental,
     sampson_distance,
 )
@@ -68,8 +62,6 @@ from .hnsw import (
     IndexAuditError,
     Neighbor,
     assign_level,
-    select_neighbors,
-    similarity,
 )
 from .pipeline import (
     FrameRecord,
@@ -99,7 +91,6 @@ __all__ = [
     "HnswIndex",
     "HnswParams",
     "IndexAuditError",
-    "LocalFeature",
     "LocalFeatureSet",
     "LoopClosurePipeline",
     "LoopDetection",
@@ -111,17 +102,14 @@ __all__ = [
     "PlantedLoop",
     "PrPoint",
     "RevisitSegment",
-    "StageStats",
     "SynthConfig",
     "SyntheticDataset",
     "TemporalFilter",
-    "TimingReport",
     "VerificationResult",
     "assign_level",
     "brute_force_match",
     "collect_frame_records",
     "eight_point",
-    "epipolar_error",
     "exact_knn",
     "filter_by_score",
     "fit_pca",
@@ -136,15 +124,11 @@ __all__ = [
     "read_header",
     "recall_at_full_precision",
     "reduce_features",
-    "reduce_local",
     "replay_detections",
     "run_pipeline",
     "sampson_distance",
     "save_pca_model",
     "score",
-    "select_neighbors",
-    "similarity",
-    "timing_harness",
     "write_features",
     "write_ground_truth",
 ]

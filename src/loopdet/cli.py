@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,72 +36,13 @@ from .evaluation import (
     recall_at_full_precision,
     write_ground_truth,
     write_pr_csv,
+    write_timing_csv,
 )
 from .hnsw import HnswIndex, HnswParams
-from .pipeline import LoopClosurePipeline, PipelineConfig
+from .pipeline import PipelineConfig, run_pipeline
 
 LOG_ENV = "FILDPP_LOG"
 logger = logging.getLogger("loopdet")
-
-
-@dataclass
-class RunConfig:
-    """Flat run parameters; serializes to ``key=value`` text, round-trip stable."""
-
-    psi: float = 40.0
-    phi: float | None = None  # None -> taken from the container header
-    n: int = 5
-    epsilon: float = 0.7
-    beta: int = 2
-    tau: int = 12
-    delta: float = 15.0
-    M: int = 48
-    ef_construction: int = 40
-    ef_search: int = 40
-    seed: int = 0
-    gt_window: int = 10
-    tau_range: tuple[int, int, int] = (0, 40, 1)  # lo, hi (inclusive), step
-    features: str | None = None
-    gt: str | None = None
-    out: str | None = None
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name == "tau_range":
-                value = ":".join(str(v) for v in value)
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in fields:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, raw)
-        return cls(**values)
-
-
-def _coerce(key: str, raw: str):
-    if key in ("features", "gt", "out"):
-        return raw
-    if key == "tau_range":
-        return _parse_tau_range(raw)
-    if key in ("psi", "phi", "epsilon", "delta"):
-        return float(raw)
-    return int(raw)
 
 
 def _parse_tau_range(raw: str) -> tuple[int, int, int]:
@@ -117,50 +58,90 @@ def _parse_tau_range(raw: str) -> tuple[int, int, int]:
     return lo, hi, step
 
 
+def _knob(default, parse, doc: str):
+    """A RunConfig field: its default, the parser of its text form, its flag help."""
+    return field(default=default, metadata={"parse": parse, "help": doc})
+
+
+@dataclass
+class RunConfig:
+    """The one list of run knobs: each field is a ``--flag`` (underscores
+    become dashes) and a config-file key, and serializes to ``key=value``
+    text, round-trip stable."""
+
+    psi: float = _knob(40.0, float, "search-area time constant, seconds")
+    phi: float | None = _knob(None, float, "camera frame rate, frames/second "
+                                           "(default: the container header)")
+    n: int = _knob(5, int, "retrieval candidates per query")
+    epsilon: float = _knob(0.7, float, "distance-ratio threshold")
+    beta: int = _knob(2, int, "consecutive frames for temporal consistency")
+    tau: int = _knob(12, int, "inlier acceptance threshold")
+    delta: float = _knob(15.0, float, "attention-score threshold")
+    M: int = _knob(48, int, "graph degree cap per layer")
+    ef_construction: int = _knob(40, int, "graph construction beam width")
+    ef_search: int = _knob(40, int, "graph search beam width")
+    seed: int = _knob(0, int, "base random seed")
+    gt_window: int = _knob(10, int, "frame tolerance when matching detections to labels")
+    tau_range: tuple[int, int, int] = _knob(
+        (0, 40, 1), _parse_tau_range, "inlier threshold sweep as lo:hi[:step]"
+    )
+    features: str | None = _knob(None, str, "input feature container (FFTC)")
+    gt: str | None = _knob(None, str, "ground-truth CSV path")
+    out: str | None = _knob(None, str, "primary output path")
+
+    def items(self) -> list[tuple[str, str]]:
+        """Set knobs as (key, text) pairs; the text parses back to the value."""
+        return [
+            (f.name, ":".join(map(str, v)) if f.name == "tau_range" else str(v))
+            for f in dataclasses.fields(self)
+            if (v := getattr(self, f.name)) is not None
+        ]
+
+    def to_text(self) -> str:
+        return "".join(f"{k}={v}\n" for k, v in self.items())
+
+    @classmethod
+    def from_text(cls, text: str) -> "RunConfig":
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        values = {}
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
+            key, _, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if key not in fields:
+                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            values[key] = fields[key].metadata["parse"](raw)
+        return cls(**values)
+
+
 def _taus(cfg: RunConfig) -> list[int]:
     lo, hi, step = cfg.tau_range
     return list(range(lo, hi + 1, step))
 
 
 def _pipeline_config(cfg: RunConfig, phi: float) -> PipelineConfig:
-    return PipelineConfig(
-        psi=cfg.psi,
-        phi=phi,
-        n=cfg.n,
-        epsilon=cfg.epsilon,
-        beta=cfg.beta,
-        tau=cfg.tau,
-        delta=cfg.delta,
-        seed=cfg.seed,
-        hnsw=HnswParams(
-            M=cfg.M,
-            ef_construction=cfg.ef_construction,
-            ef_search=cfg.ef_search,
-            rng_seed=cfg.seed,
-        ),
-    )
+    """Map the run knobs onto the pipeline and graph fields of the same name;
+    the graph's ``rng_seed`` is the run ``seed``."""
+    knobs = dataclasses.asdict(cfg) | {"phi": phi, "rng_seed": cfg.seed}
+
+    def pick(cls) -> dict:
+        return {f.name: knobs[f.name] for f in dataclasses.fields(cls) if f.name in knobs}
+
+    return PipelineConfig(**pick(PipelineConfig), hnsw=HnswParams(**pick(HnswParams)))
 
 
-def _echo_config(cfg: RunConfig, phi: float | None, header=None) -> None:
-    resolved = {
-        "psi": cfg.psi,
-        "phi": phi if phi is not None else cfg.phi,
-        "n": cfg.n,
-        "epsilon": cfg.epsilon,
-        "beta": cfg.beta,
-        "tau": cfg.tau,
-        "delta": cfg.delta,
-        "M": cfg.M,
-        "ef_construction": cfg.ef_construction,
-        "ef_search": cfg.ef_search,
-        "seed": cfg.seed,
-        "gt_window": cfg.gt_window,
-    }
+def _echo_config(cfg: RunConfig, phi: float, header=None) -> None:
+    """Print every set knob, with ``phi`` resolved, and the container header's
+    f32 image scales at f32 precision."""
+    resolved = dataclasses.replace(cfg, phi=phi).items()
     if header is not None:
-        resolved["s_g"] = header.s_g
-        resolved["s_l"] = header.s_l
+        resolved += [(k, str(np.float32(getattr(header, k)))) for k in ("s_g", "s_l")]
     print(
-        "resolved config: " + " ".join(f"{k}={v}" for k, v in resolved.items()),
+        "resolved config: " + " ".join(f"{k}={v}" for k, v in resolved),
         file=sys.stderr,
     )
 
@@ -209,19 +190,20 @@ def cmd_detect(args: argparse.Namespace) -> int:
         pca = load_pca_model(_require(args.pca, "PCA model (--pca)"))
 
     out = cfg.out or "detections.csv"
-    pipeline = LoopClosurePipeline(pipe_cfg, header.dim_global, pca=pca)
-    count = 0
+    detections, pipeline = run_pipeline(
+        read_features(features), pipe_cfg, header.dim_global, pca=pca
+    )
     with atomic_output(out, "w") as f:
         f.write("query_frame,matched_frame,inliers,similarity\n")
-        for frame_id, g, locals_ in read_features(features):
-            det = pipeline.process_frame(frame_id, g, locals_)
-            if det is not None:
-                f.write(
-                    f"{det.query_frame},{det.matched_frame},"
-                    f"{det.inlier_count},{det.similarity:.6f}\n"
-                )
-                count += 1
-    logger.info("processed %d frames, %d detections -> %s", pipeline.frames_processed, count, out)
+        for det in detections:
+            f.write(
+                f"{det.query_frame},{det.matched_frame},"
+                f"{det.inlier_count},{det.similarity:.6f}\n"
+            )
+    logger.info(
+        "processed %d frames, %d detections -> %s",
+        pipeline.frames_processed, len(detections), out,
+    )
     return 0
 
 
@@ -365,9 +347,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             seed=cfg.seed,
         )
     )
-    report = evaluation.timing_harness(dataset.frames, _pipeline_config(cfg, phi))
+    _, pipeline = run_pipeline(dataset.frames, _pipeline_config(cfg, phi), dim)
     with atomic_output(os.path.join(out_dir, "timing.csv"), "w") as f:
-        report.write_csv(f)
+        write_timing_csv(f, pipeline.records)
 
     n_list = [int(x) for x in args.n_list.split(",")]
     with atomic_output(os.path.join(out_dir, "n_sweep.csv"), "w") as f:
@@ -424,24 +406,13 @@ def cmd_pca_fit(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--features", help="input feature container (FFTC)")
-    p.add_argument("--gt", help="ground-truth CSV path")
-    p.add_argument("--out", help="primary output path")
-    p.add_argument("--psi", type=float, help="search-area time constant, seconds")
-    p.add_argument("--phi", type=float, help="camera frame rate, frames/second")
-    p.add_argument("--n", type=int, help="retrieval candidates per query")
-    p.add_argument("--epsilon", type=float, help="distance-ratio threshold")
-    p.add_argument("--beta", type=int, help="consecutive frames for temporal consistency")
-    p.add_argument("--tau", type=int, help="inlier acceptance threshold")
-    p.add_argument("--delta", type=float, help="attention-score threshold")
-    p.add_argument("--M", type=int, help="graph degree cap per layer")
-    p.add_argument("--ef-construction", dest="ef_construction", type=int)
-    p.add_argument("--ef-search", dest="ef_search", type=int)
-    p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--gt-window", dest="gt_window", type=int,
-                   help="frame tolerance when matching detections to labels")
-    p.add_argument("--tau-range", dest="tau_range", type=_parse_tau_range,
-                   help="inlier threshold sweep as lo:hi[:step]")
+    for f in dataclasses.fields(RunConfig):
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=f.metadata["parse"],
+            help=f.metadata["help"],
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

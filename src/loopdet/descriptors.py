@@ -9,8 +9,8 @@ L2-normalize -> PCA project -> L2-renormalize reduction chain.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable
+from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -57,31 +57,12 @@ class GlobalDescriptor:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def normalized(self) -> "GlobalDescriptor":
-        return replace(self, values=l2_normalize(self.values))
-
-
-@dataclass(frozen=True, eq=False)
-class LocalFeature:
-    """One keypoint: pixel coordinates, attention score, descriptor vector."""
-
-    x: float
-    y: float
-    score: float
-    descriptor: np.ndarray
-
-    def __post_init__(self):
-        if self.score < 0:
-            raise ValueError(f"attention score must be non-negative, got {self.score}")
-        object.__setattr__(self, "descriptor", np.asarray(self.descriptor))
-
 
 @dataclass(eq=False)
 class LocalFeatureSet:
     """Ordered local features of one frame, stored column-wise for speed.
 
     ``coords`` is (n, 2), ``scores`` is (n,), ``descriptors`` is (n, d).
-    The per-feature object view is available through :attr:`features`.
     """
 
     frame_id: int
@@ -117,28 +98,6 @@ class LocalFeatureSet:
             np.zeros(0, dtype=np.float32),
             np.zeros((0, dim), dtype=np.float32),
         )
-
-    @classmethod
-    def from_features(cls, frame_id: int, features: Iterable[LocalFeature]) -> "LocalFeatureSet":
-        feats = list(features)
-        if not feats:
-            raise ValueError("use LocalFeatureSet.empty() for an empty set")
-        dims = {f.descriptor.shape[0] for f in feats}
-        if len(dims) != 1:
-            raise ValueError(f"features mix descriptor dimensions: {sorted(dims)}")
-        return cls(
-            frame_id,
-            np.array([(f.x, f.y) for f in feats]),
-            np.array([f.score for f in feats]),
-            np.stack([f.descriptor for f in feats]),
-        )
-
-    @property
-    def features(self) -> list[LocalFeature]:
-        return [
-            LocalFeature(float(x), float(y), float(s), d)
-            for (x, y), s, d in zip(self.coords, self.scores, self.descriptors)
-        ]
 
     @property
     def dim(self) -> int:
@@ -255,26 +214,13 @@ def _project(model: PcaModel, X: np.ndarray) -> np.ndarray:
 _ZERO_PROJECTION = 1e-12
 
 
-def reduce_local(model: PcaModel, f: LocalFeature) -> LocalFeature:
-    """Reduce one raw local feature: L2 norm, centered projection, L2 renorm.
-
-    Raises :class:`DegenerateDescriptorError` when the projection lands on
-    the origin (norm below 1e-12); the caller is expected to drop such
-    features.
-    """
-    raw = np.asarray(f.descriptor, dtype=np.float64)
-    if raw.shape != (model.raw_dim,):
-        raise ValueError(
-            f"descriptor dimension {raw.shape} does not match model raw_dim {model.raw_dim}"
-        )
-    z = _project(model, l2_normalize(raw)[None, :])[0]
-    if float(np.linalg.norm(z)) <= _ZERO_PROJECTION:
-        raise DegenerateDescriptorError("projection collapsed to the origin")
-    return LocalFeature(f.x, f.y, f.score, l2_normalize(z))
-
-
 def reduce_features(model: PcaModel, fs: LocalFeatureSet) -> LocalFeatureSet:
-    """Vectorized :func:`reduce_local` over a whole set; degenerate rows are dropped."""
+    """Reduce every local descriptor of a set: L2 norm, centered projection, L2 renorm.
+
+    Rows whose raw descriptor is zero or whose projection lands on the
+    origin (norm at most 1e-12) are dropped together with their coordinates
+    and scores.
+    """
     if len(fs) == 0:
         return LocalFeatureSet.empty(fs.frame_id, model.out_dim)
     X = np.asarray(fs.descriptors, dtype=np.float64)

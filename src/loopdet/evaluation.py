@@ -1,4 +1,4 @@
-"""Ground-truth scoring, precision-recall sweeps, timing and synthetic data.
+"""Ground-truth scoring, precision-recall sweeps, timing tables and synthetic data.
 
 The synthetic generator replaces the out-of-scope CNN front end: global
 descriptors drift smoothly along a simulated trajectory, revisit segments
@@ -20,7 +20,6 @@ from .geometry import sampson_distance
 from .pipeline import (
     STAGES,
     FrameRecord,
-    LoopClosurePipeline,
     PipelineConfig,
     collect_frame_records,
     replay_detections,
@@ -482,62 +481,18 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageStats:
-    stage: str
-    mean_ms: float
-    std_ms: float
-    max_ms: float
-    min_ms: float
-    count: int
-
-
-@dataclass(frozen=True)
-class TimingReport:
-    stages: tuple[StageStats, ...]
-
-    def stat(self, stage: str) -> StageStats | None:
-        for s in self.stages:
-            if s.stage == stage:
-                return s
-        return None
-
-    def write_csv(self, fobj: TextIO) -> None:
-        fobj.write("stage,mean_ms,std_ms,max_ms,min_ms\n")
-        for s in self.stages:
-            fobj.write(
-                f"{s.stage},{s.mean_ms:.6f},{s.std_ms:.6f},{s.max_ms:.6f},{s.min_ms:.6f}\n"
-            )
-
-
-def aggregate_timings(stage_log: Sequence[dict[str, float]]) -> TimingReport:
-    """Per-stage wall-clock statistics (ms) over frames where the stage ran."""
-    stats = []
+def aggregate_timings(records: Sequence[FrameRecord]) -> dict[str, tuple[float, ...]]:
+    """Per-stage wall-clock (mean, std, max, min) in ms over the frames where
+    the stage ran, in :data:`STAGES` order; stages that never ran are absent."""
+    table = {}
     for stage in STAGES:
-        samples = [entry[stage] * 1e3 for entry in stage_log if entry.get(stage, 0.0) > 0.0]
-        if not samples:
-            continue
-        arr = np.asarray(samples)
-        stats.append(
-            StageStats(
-                stage,
-                float(arr.mean()),
-                float(arr.std()),
-                float(arr.max()),
-                float(arr.min()),
-                len(samples),
-            )
-        )
-    return TimingReport(tuple(stats))
+        ms = np.array([r.stages[stage] for r in records if r.stages[stage] > 0.0]) * 1e3
+        if ms.size:
+            table[stage] = (float(ms.mean()), float(ms.std()), float(ms.max()), float(ms.min()))
+    return table
 
 
-def timing_harness(
-    frames: Sequence[Frame], config: PipelineConfig, pca=None
-) -> TimingReport:
-    """Run the pipeline over a dataset and report per-stage wall-clock stats."""
-    if not frames:
-        return TimingReport(())
-    pipeline = LoopClosurePipeline(config, frames[0][1].dim, pca=pca)
-    for frame_id, g, locals_ in frames:
-        pipeline.process_frame(frame_id, g, locals_)
-    return aggregate_timings(pipeline.stage_log)
+def write_timing_csv(fobj: TextIO, records: Sequence[FrameRecord]) -> None:
+    fobj.write("stage,mean_ms,std_ms,max_ms,min_ms\n")
+    for stage, stats in aggregate_timings(records).items():
+        fobj.write(",".join([stage] + [f"{v:.6f}" for v in stats]) + "\n")

@@ -111,15 +111,6 @@ def sampson_distance(F, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarra
     return out
 
 
-def epipolar_error(F, pa, pb) -> float:
-    """Sampson distance of a single correspondence under ``F``.
-
-    Zero exactly on the epipolar constraint; ``+inf`` when the denominator
-    degenerates.
-    """
-    return float(sampson_distance(F, np.asarray(pa)[None, :2], np.asarray(pb)[None, :2])[0])
-
-
 def _hartley_transform(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic normalization: centroid to origin, mean distance to sqrt(2)."""
     centroid = pts.mean(axis=0)
@@ -175,13 +166,20 @@ def eight_point(points_a, points_b) -> FundamentalMatrix:
     return FundamentalMatrix(F)
 
 
-def _iterations_needed(inlier_fraction: float, confidence: float) -> int:
+# fixed RANSAC settings: Sampson inlier gate in pixels and the confidence of
+# the adaptive iteration budget
+PX_THRESH = 3.0
+CONFIDENCE = 0.99
+
+
+def _iterations_needed(inlier_fraction: float) -> int:
     p8 = inlier_fraction**8
     if p8 >= 1.0:
         return 1
     if p8 <= 0.0:
         return 1 << 30
-    return int(math.ceil(math.log(1.0 - confidence) / math.log(1.0 - p8)))
+    # log1p keeps the denominator non-zero when p8 is below float epsilon
+    return int(math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-p8)))
 
 
 def ransac_fundamental(
@@ -191,18 +189,14 @@ def ransac_fundamental(
     tau: int,
     rng: np.random.Generator,
     max_iters: int = 500,
-    *,
-    px_thresh: float = 3.0,
-    confidence: float = 0.99,
-    refit: bool = True,
 ) -> VerificationResult | None:
     """RANSAC fundamental-matrix estimation over matched keypoints.
 
     Repeatedly fits :func:`eight_point` on 8 sampled matches, keeps the model
-    with the most Sampson inliers below ``px_thresh`` pixels, adapts the
-    iteration budget with the standard (1 - w^8) formula at ``confidence``,
-    and optionally refits on the final consensus set (kept only if it does
-    not lose inliers).
+    with the most Sampson inliers below ``PX_THRESH`` pixels, adapts the
+    iteration budget (at most ``max_iters``) with the standard (1 - w^8)
+    formula at ``CONFIDENCE``, and refits on the final consensus set (kept
+    only if it does not lose inliers).
 
     Returns ``None`` - failure, not a fault - when fewer than 8 matches are
     available or no model reaches ``tau`` inliers.
@@ -225,21 +219,21 @@ def ransac_fundamental(
             F = eight_point(pa[sample], pb[sample])
         except DegenerateGeometryError:
             continue
-        mask = sampson_distance(F.m, pa, pb) < px_thresh
+        mask = sampson_distance(F.m, pa, pb) < PX_THRESH
         count = int(mask.sum())
         if count > best_count:
             best_F, best_mask, best_count = F, mask, count
-            budget = min(max_iters, _iterations_needed(count / m, confidence))
+            budget = min(max_iters, _iterations_needed(count / m))
     if best_F is None:
         return None
 
-    if refit and best_count >= 8:
+    if best_count >= 8:
         try:
             F2 = eight_point(pa[best_mask], pb[best_mask])
         except DegenerateGeometryError:
             pass
         else:
-            mask2 = sampson_distance(F2.m, pa, pb) < px_thresh
+            mask2 = sampson_distance(F2.m, pa, pb) < PX_THRESH
             count2 = int(mask2.sum())
             if count2 >= best_count:
                 best_F, best_mask, best_count = F2, mask2, count2

@@ -19,7 +19,7 @@ import math
 import struct
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -81,22 +81,6 @@ class Neighbor:
     similarity: float
 
 
-def similarity(p, q) -> float:
-    """Cosine of the angle between two descriptors: p.q / (|p| |q|).
-
-    Symmetric, in [-1, 1].  Raises on dimension mismatch or zero vectors.
-    """
-    pv = np.asarray(p.values if isinstance(p, GlobalDescriptor) else p, dtype=np.float64)
-    qv = np.asarray(q.values if isinstance(q, GlobalDescriptor) else q, dtype=np.float64)
-    if pv.shape != qv.shape:
-        raise ValueError(f"dimension mismatch: {pv.shape} vs {qv.shape}")
-    np_ = float(np.linalg.norm(pv))
-    nq = float(np.linalg.norm(qv))
-    if np_ == 0.0 or nq == 0.0:
-        raise ValueError("similarity undefined for zero vectors")
-    return float(np.dot(pv, qv) / (np_ * nq))
-
-
 def assign_level(rng: np.random.Generator, level_lambda: float) -> int:
     """Draw a maximum layer: floor(-ln(U) * level_lambda), U uniform in (0, 1]."""
     u = 1.0 - rng.random()  # random() is [0, 1); map to (0, 1] so log is finite
@@ -105,27 +89,28 @@ def assign_level(rng: np.random.Generator, level_lambda: float) -> int:
 
 def _keep_diverse(
     base_dists: Sequence[float],
-    pair_dist,
+    pair: np.ndarray,
     m: int,
     *,
     backfill: bool,
 ) -> list[int]:
-    """Core neighbor-selection rule over candidates sorted by distance ascending.
+    """The neighbor-selection heuristic over candidates sorted by distance ascending.
 
-    Position ``i`` is kept only if it is closer to the base element than to
-    every already-kept position (``pair_dist(i, kept)`` strictly greater than
-    ``base_dists[i]`` for all kept).  With ``backfill`` the nearest discarded
-    candidates top the result up to ``m``.
+    ``base_dists[i]`` is candidate ``i``'s distance to the base element and
+    ``pair[i, j]`` the distance between candidates ``i`` and ``j``.  Position
+    ``i`` is kept only if it is closer to the base element than to every
+    already-kept position (``pair[i, kept]`` strictly greater than
+    ``base_dists[i]``).  With ``backfill`` the nearest discarded candidates
+    top the result up to ``m``.
     """
     kept: list[int] = []
     discarded: list[int] = []
     for i, d in enumerate(base_dists):
         if len(kept) == m:
             break
-        if kept:
-            if (np.asarray(pair_dist(i, kept)) <= d).any():
-                discarded.append(i)
-                continue
+        if kept and (pair[i, kept] <= d).any():
+            discarded.append(i)
+            continue
         kept.append(i)
     if backfill:
         for i in discarded:
@@ -133,35 +118,6 @@ def _keep_diverse(
                 break
             kept.append(i)
     return kept
-
-
-def select_neighbors(
-    base,
-    candidates: Sequence[Neighbor],
-    m: int,
-    descriptors: Mapping[int, np.ndarray],
-) -> list[Neighbor]:
-    """Diversity-aware pruning of link candidates for a base descriptor.
-
-    ``candidates`` must be sorted by similarity descending.  A candidate is
-    kept only if it is closer to ``base`` than to every already-kept
-    neighbor; if fewer than ``m`` survive, the nearest discarded candidates
-    are backfilled.  ``descriptors`` maps frame id to descriptor (an
-    :class:`HnswIndex` works directly).
-    """
-    if len(candidates) <= m:
-        return list(candidates)
-    base_v = l2_normalize(base.values if isinstance(base, GlobalDescriptor) else base)
-    vecs = np.stack([l2_normalize(descriptors[c.frame_id]) for c in candidates])
-    base_dists = 1.0 - vecs @ base_v
-    pair = 1.0 - vecs @ vecs.T
-
-    kept = _keep_diverse(
-        base_dists.tolist(), lambda i, kept_idx: pair[i, kept_idx], m, backfill=True
-    )
-    chosen = [candidates[i] for i in kept]
-    chosen.sort(key=lambda c: (-c.similarity, c.frame_id))
-    return chosen
 
 
 class HnswIndex:
@@ -178,7 +134,6 @@ class HnswIndex:
         self.params = params if params is not None else HnswParams()
         self._dim = dim
         self._rng = np.random.default_rng(self.params.rng_seed)
-        self._level_draws = 0
         self._vectors = np.zeros((256, dim), dtype=np.float32)
         self._ids: list[int] = []
         self._id_to_idx: dict[int, int] = {}
@@ -196,9 +151,6 @@ class HnswIndex:
     def __contains__(self, frame_id: int) -> bool:
         return frame_id in self._id_to_idx
 
-    def __getitem__(self, frame_id: int) -> np.ndarray:
-        return self.descriptor(frame_id)
-
     @property
     def dim(self) -> int:
         return self._dim
@@ -206,13 +158,6 @@ class HnswIndex:
     @property
     def frame_ids(self) -> list[int]:
         return list(self._ids)
-
-    def descriptor(self, frame_id: int) -> np.ndarray:
-        """Stored unit-norm descriptor for a frame (float32 copy)."""
-        return self._vectors[self._id_to_idx[frame_id]].copy()
-
-    def level_of(self, frame_id: int) -> int:
-        return self._levels[self._id_to_idx[frame_id]]
 
     # -- construction -------------------------------------------------------------
 
@@ -246,7 +191,6 @@ class HnswIndex:
         vec32 = l2_normalize(vec).astype(np.float32)
 
         level = assign_level(self._rng, self.params.level_lambda)
-        self._level_draws += 1
         idx = self._append_node(frame_id, vec32, level)
 
         if self._entry is None:
@@ -288,9 +232,7 @@ class HnswIndex:
         idxs = [i for _, i in candidates]
         vecs = self._vectors[idxs]
         pair = 1.0 - vecs @ vecs.T
-        kept = _keep_diverse(
-            [d for d, _ in candidates], lambda i, k: pair[i, k], m, backfill=True
-        )
+        kept = _keep_diverse([d for d, _ in candidates], pair, m, backfill=True)
         return [candidates[i] for i in kept]
 
     def _prune_links(self, j: int, layer: int, new_idx: int, cap: int) -> None:
@@ -306,9 +248,7 @@ class HnswIndex:
         order = np.lexsort((cand, dists))
         cand = cand[order]
         pair = 1.0 - vecs[order] @ vecs[order].T
-        kept = _keep_diverse(
-            dists[order].tolist(), lambda i, k: pair[i, k], cap, backfill=False
-        )
+        kept = _keep_diverse(dists[order].tolist(), pair, cap, backfill=False)
         self._links[j][layer] = cand[list(kept)]
 
     # -- search -------------------------------------------------------------------
@@ -512,6 +452,5 @@ class HnswIndex:
             index._entry = index._id_to_idx[entry_id]
         # fast-forward the level rng: one uniform draw was consumed per insert
         index._rng.random(count)
-        index._level_draws = count
         index.audit()
         return index

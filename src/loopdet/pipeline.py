@@ -47,8 +47,9 @@ class PipelineConfig:
     ``n`` candidates are verified per query with ratio threshold ``epsilon``
     and inlier acceptance ``tau``; ``delta`` filters local features at
     ingestion; ``beta`` consecutive verified frames are required before a
-    loop is reported.  ``consistency_window`` bounds how far apart the
-    matched frames of a streak may lie (default ``n * (beta + 1)``).
+    loop is reported.  The matched frames of a streak must lie within
+    ``window = n * (beta + 1)`` of each other.  RANSAC runs with the fixed
+    settings of :func:`ransac_fundamental` (budget 500, 3 px, 0.99, refit).
     """
 
     psi: float = 40.0
@@ -59,10 +60,6 @@ class PipelineConfig:
     tau: int = 12
     delta: float = 15.0
     hnsw: HnswParams = field(default_factory=HnswParams)
-    ransac_iters: int = 500
-    px_thresh: float = 3.0
-    refit: bool = True
-    consistency_window: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +80,6 @@ class PipelineConfig:
 
     @property
     def window(self) -> int:
-        if self.consistency_window is not None:
-            return self.consistency_window
         return self.n * (self.beta + 1)
 
 
@@ -101,13 +96,19 @@ class LoopDetection:
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """Best verification outcome for one processed frame (before the
-    temporal filter); ``matched_frame`` is None when verification failed."""
+    """What one processed frame did.
+
+    The best verification outcome (before the temporal filter), with
+    ``matched_frame`` None when verification failed, and the wall-clock
+    seconds spent in each of :data:`STAGES` (0.0 for a stage that did not
+    run).
+    """
 
     frame_id: int
     matched_frame: int | None
     inlier_count: int
     similarity: float
+    stages: dict[str, float]
 
 
 class TemporalFilter:
@@ -151,8 +152,8 @@ class LoopClosurePipeline:
 
     ``process_frame`` is single-writer; within one call the candidate
     verifications are independent and merged deterministically in candidate
-    order.  Per-frame stage timings and verification records accumulate on
-    the instance for evaluation harnesses.
+    order.  One :class:`FrameRecord` per processed frame accumulates in
+    ``records``.
     """
 
     def __init__(self, config: PipelineConfig, dim: int, pca: PcaModel | None = None):
@@ -162,14 +163,12 @@ class LoopClosurePipeline:
         self.fifo: deque[tuple[int, np.ndarray]] = deque()
         self.locals_store: dict[int, LocalFeatureSet] = {}
         self.records: list[FrameRecord] = []
-        self.stage_log: list[dict[str, float]] = []
         self._temporal = TemporalFilter(config.beta, config.window)
         self._last_frame_id: int | None = None
-        self._frames_pushed = 0
 
     @property
     def frames_processed(self) -> int:
-        return self._frames_pushed
+        return len(self.records)
 
     def searchable_region(self) -> tuple[int, int] | None:
         """Contiguous frame-id range currently in the index, or None."""
@@ -210,7 +209,7 @@ class LoopClosurePipeline:
             stages["adding_feature"] = time.perf_counter() - t0
 
         detection = None
-        record = FrameRecord(frame_id, None, -1, float("nan"))
+        matched, inliers, sim = None, -1, float("nan")
         if len(self.index) > 0:
             t0 = time.perf_counter()
             candidates = self.index.knn_search(
@@ -220,7 +219,7 @@ class LoopClosurePipeline:
             best = self.verify_candidates(kept, candidates, stages=stages)
             if best is not None:
                 matched, result, sim = best
-                record = FrameRecord(frame_id, matched, result.inlier_count, sim)
+                inliers = result.inlier_count
                 if self._temporal.update(matched):
                     if frame_id - matched < cfg.n_non:
                         raise RuntimeError(
@@ -238,10 +237,8 @@ class LoopClosurePipeline:
         self.fifo.append((frame_id, l2_normalize(vec).astype(np.float32)))
         self.locals_store[frame_id] = kept
         self._last_frame_id = frame_id
-        self._frames_pushed += 1
-        self.records.append(record)
         stages["whole_system"] = time.perf_counter() - t_start
-        self.stage_log.append(stages)
+        self.records.append(FrameRecord(frame_id, matched, inliers, sim, stages))
         return detection
 
     def verify_candidates(
@@ -278,9 +275,6 @@ class LoopClosurePipeline:
                 cand_locals,
                 cfg.tau,
                 _candidate_rng(cfg.seed, query_locals.frame_id, cand.frame_id),
-                cfg.ransac_iters,
-                px_thresh=cfg.px_thresh,
-                refit=cfg.refit,
             )
             if stages is not None:
                 stages["ransac"] += time.perf_counter() - t0
@@ -296,7 +290,12 @@ def run_pipeline(
     dim: int,
     pca: PcaModel | None = None,
 ) -> tuple[list[LoopDetection], LoopClosurePipeline]:
-    """Feed a frame stream through a fresh pipeline; returns detections and state."""
+    """Feed a frame stream through a fresh pipeline; returns detections and state.
+
+    The one way to run the pipeline over a stream: the CLI, the threshold
+    sweep and the timing table all go through it and read the per-frame
+    records from the returned pipeline.
+    """
     pipeline = LoopClosurePipeline(config, dim, pca=pca)
     detections = []
     for frame_id, g, locals_ in frames:

@@ -107,6 +107,9 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "resolved config:" in err
         assert "psi=2.0" in err and "epsilon=0.7" in err and "delta=15.0" in err
+        # f32 header fields are echoed at f32 precision
+        tokens = err.split()
+        assert "s_g=0.5" in tokens and "s_l=1.4" in tokens
 
 
 class TestEval:

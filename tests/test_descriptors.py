@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from loopdet import (
     DegenerateDescriptorError,
-    LocalFeature,
     LocalFeatureSet,
     PcaModel,
     filter_by_score,
@@ -15,7 +14,6 @@ from loopdet import (
     l2_normalize,
     load_pca_model,
     reduce_features,
-    reduce_local,
     save_pca_model,
 )
 
@@ -128,6 +126,12 @@ class TestFitPca:
             assert np.abs(gram - np.eye(8)).max() < 1e-5
 
 
+def reduce_one(model, raw, x=1.0, y=2.0, score=3.0):
+    """Reduce a single raw local descriptor through :func:`reduce_features`."""
+    fs = LocalFeatureSet(7, [[x, y]], [score], np.asarray(raw, dtype=float)[None, :])
+    return reduce_features(model, fs)
+
+
 class TestReduceLocal:
     def make_model(self, rng, raw_dim=8, out_dim=2, n=64):
         samples = rng.standard_normal((n, raw_dim))
@@ -137,15 +141,16 @@ class TestReduceLocal:
         samples = np.random.default_rng(5).standard_normal((100, 1024))
         model = fit_pca(samples, out_dim=40)
         raw = rng.standard_normal(1024)
-        out = reduce_local(model, LocalFeature(1.0, 2.0, 3.0, raw))
-        assert math.isclose(np.linalg.norm(out.descriptor), 1.0, abs_tol=1e-6)
+        out = reduce_one(model, raw)
+        assert math.isclose(np.linalg.norm(out.descriptors[0]), 1.0, abs_tol=1e-6)
         # direct matrix-multiply oracle
         v = raw / np.linalg.norm(raw)
         z = model.basis.T @ (v - model.mean)
-        np.testing.assert_allclose(out.descriptor, z / np.linalg.norm(z), atol=1e-9)
-        assert (out.x, out.y, out.score) == (1.0, 2.0, 3.0)
+        np.testing.assert_allclose(out.descriptors[0], z / np.linalg.norm(z), atol=1e-9)
+        assert out.frame_id == 7
+        assert (*out.coords[0], out.scores[0]) == (1.0, 2.0, 3.0)
 
-    def test_zero_projection_rejected(self, rng):
+    def test_zero_projection_row_dropped(self, rng):
         # build a unit-norm input whose centered form is orthogonal to the basis
         model = self.make_model(rng, raw_dim=8, out_dim=2)
         span = np.hstack([model.basis, model.mean[:, None]])
@@ -153,20 +158,26 @@ class TestReduceLocal:
         alpha = math.sqrt(max(0.0, 1.0 - np.linalg.norm(model.mean) ** 2))
         raw = model.mean + alpha * null
         assert math.isclose(np.linalg.norm(raw), 1.0, abs_tol=1e-12)
-        with pytest.raises(DegenerateDescriptorError):
-            reduce_local(model, LocalFeature(0, 0, 0, raw))
+        good = rng.standard_normal(8)
+        fs = LocalFeatureSet(0, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [5.0, 6.0, 7.0],
+                             np.stack([good, raw, np.zeros(8)]))
+        out = reduce_features(model, fs)
+        assert len(out) == 1 and out.dim == 2
+        np.testing.assert_array_equal(out.coords, [[1.0, 1.0]])
+        np.testing.assert_array_equal(out.scores, [5.0])
+        np.testing.assert_allclose(out.descriptors, reduce_one(model, good).descriptors)
 
     def test_principal_axis_maps_to_unit_basis_vector(self, rng):
         # model with a known eigenbasis: raw along the first axis -> +-e1
         Q = np.linalg.qr(rng.standard_normal((6, 2)))[0]
         model = PcaModel(np.zeros(6), Q, np.array([2.0, 1.0]))
-        out = reduce_local(model, LocalFeature(0, 0, 0, 5.0 * Q[:, 0]))
-        np.testing.assert_allclose(np.abs(out.descriptor), [1.0, 0.0], atol=1e-12)
+        out = reduce_one(model, 5.0 * Q[:, 0])
+        np.testing.assert_allclose(np.abs(out.descriptors[0]), [1.0, 0.0], atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         model = self.make_model(rng)
         with pytest.raises(ValueError):
-            reduce_local(model, LocalFeature(0, 0, 0, np.ones(5)))
+            reduce_one(model, np.ones(5))
 
     def test_whiten_divides_by_sqrt_eigenvalue(self, rng):
         samples = rng.standard_normal((100, 8))
@@ -175,17 +186,19 @@ class TestReduceLocal:
         raw = rng.standard_normal(8)
         v = raw / np.linalg.norm(raw)
         z = plain.basis.T @ (v - plain.mean) / np.sqrt(plain.eigenvalues)
-        out = reduce_local(whitened, LocalFeature(0, 0, 0, raw))
-        np.testing.assert_allclose(out.descriptor, z / np.linalg.norm(z), atol=1e-9)
+        out = reduce_one(whitened, raw)
+        np.testing.assert_allclose(out.descriptors[0], z / np.linalg.norm(z), atol=1e-9)
 
     def test_reduce_features_matches_per_feature_path(self, rng):
+        # each row is reduced independently of the others in its set
         model = self.make_model(rng, raw_dim=16, out_dim=4, n=80)
         fs = feature_set([1, 2, 3, 4, 5], dim=16, rng=rng)
         batch = reduce_features(model, fs)
         assert len(batch) == 5 and batch.dim == 4
-        for i, feat in enumerate(fs.features):
-            single = reduce_local(model, feat)
-            np.testing.assert_allclose(batch.descriptors[i], single.descriptor, atol=1e-9)
+        for i, (x, y) in enumerate(fs.coords):
+            single = reduce_one(model, fs.descriptors[i], x, y, fs.scores[i])
+            np.testing.assert_allclose(batch.descriptors[i], single.descriptors[0], atol=1e-9)
+            np.testing.assert_array_equal(batch.coords[i], single.coords[0])
 
 
 class TestFilterByScore:
@@ -251,11 +264,3 @@ class TestInvariants:
     def test_feature_set_rejects_negative_scores(self):
         with pytest.raises(ValueError):
             feature_set([-1.0])
-
-    def test_feature_set_mixed_dims_rejected(self):
-        feats = [
-            LocalFeature(0, 0, 1, np.ones(3)),
-            LocalFeature(0, 0, 1, np.ones(4)),
-        ]
-        with pytest.raises(ValueError):
-            LocalFeatureSet.from_features(0, feats)

@@ -1,9 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from loopdet import (
+    FrameRecord,
     GroundTruth,
     HnswParams,
     PipelineConfig,
@@ -14,12 +16,12 @@ from loopdet import (
     pr_curve,
     read_ground_truth,
     recall_at_full_precision,
+    run_pipeline,
     score,
-    similarity,
-    timing_harness,
     write_ground_truth,
 )
-from loopdet.evaluation import aggregate_timings
+from loopdet.evaluation import aggregate_timings, write_timing_csv
+from loopdet.pipeline import STAGES
 
 FAST_HNSW = HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1)
 
@@ -28,6 +30,12 @@ def fast_config(**kw):
     base = dict(psi=2.0, phi=10.0, n=3, beta=2, tau=10, delta=0.0, hnsw=FAST_HNSW, seed=1)
     base.update(kw)
     return PipelineConfig(**base)
+
+
+def similarity(p, q):
+    """Cosine of two global descriptors, in float64."""
+    p, q = p.values.astype(np.float64), q.values.astype(np.float64)
+    return float(p @ q / (np.linalg.norm(p) * np.linalg.norm(q)))
 
 
 def gt_of(pairs, frames=None):
@@ -259,36 +267,48 @@ class TestGenerator:
         assert point.recall >= 1.0 - (cfg.beta - 1) / seg_len
 
 
-class TestTimingHarness:
-    def test_empty_dataset_empty_report(self):
-        report = timing_harness([], fast_config())
-        assert report.stages == ()
-        # CSV still well formed
-        import io
+def timed_records(ds, cfg):
+    _, pipeline = run_pipeline(ds.frames, cfg, ds.dim_global)
+    return pipeline.records
 
+
+class TestTimingHarness:
+    """The per-stage timing table is aggregated from the per-frame records."""
+
+    def test_empty_dataset_empty_report(self):
+        assert aggregate_timings([]) == {}
+        # CSV still well formed
         buf = io.StringIO()
-        report.write_csv(buf)
+        write_timing_csv(buf, [])
         assert buf.getvalue() == "stage,mean_ms,std_ms,max_ms,min_ms\n"
 
     def test_stats_internally_consistent(self):
         ds = revisit_dataset()
-        report = timing_harness(ds.frames, fast_config())
-        stages = {s.stage for s in report.stages}
+        records = timed_records(ds, fast_config())
+        assert len(records) == len(ds.frames)
+        table = aggregate_timings(records)
         assert {"feature_ingestion", "adding_feature", "graph_searching",
-                "whole_system"} <= stages
-        for s in report.stages:
-            assert s.min_ms <= s.mean_ms <= s.max_ms
-            assert s.std_ms >= 0.0
+                "whole_system"} <= set(table)
+        assert list(table) == [s for s in STAGES if s in table]
+        for mean_ms, std_ms, max_ms, min_ms in table.values():
+            assert min_ms <= mean_ms <= max_ms
+            assert std_ms >= 0.0
+        buf = io.StringIO()
+        write_timing_csv(buf, records)
+        rows = buf.getvalue().splitlines()
+        assert rows[0] == "stage,mean_ms,std_ms,max_ms,min_ms"
+        assert [r.split(",")[0] for r in rows[1:]] == list(table)
 
     def test_search_time_grows_sublinearly(self):
         # ten-fold more frames must not cost ten-fold search time per query
         small = revisit_dataset(n_frames=150, segments=(), seed=3)
         large = revisit_dataset(n_frames=1500, segments=(), seed=3)
         cfg = fast_config()
-        t_small = timing_harness(small.frames, cfg).stat("graph_searching")
-        t_large = timing_harness(large.frames, cfg).stat("graph_searching")
-        assert t_large.mean_ms < 5.0 * t_small.mean_ms
+        t_small = aggregate_timings(timed_records(small, cfg))["graph_searching"][0]
+        t_large = aggregate_timings(timed_records(large, cfg))["graph_searching"][0]
+        assert t_large < 5.0 * t_small
 
     def test_aggregate_skips_stages_that_never_ran(self):
-        report = aggregate_timings([{"feature_ingestion": 0.001, "ransac": 0.0}])
-        assert {s.stage for s in report.stages} == {"feature_ingestion"}
+        stages = dict.fromkeys(STAGES, 0.0) | {"feature_ingestion": 0.001}
+        table = aggregate_timings([FrameRecord(0, None, -1, math.nan, stages)])
+        assert table == {"feature_ingestion": (1.0, 0.0, 1.0, 1.0)}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopdet import (
     DegenerateGeometryError,
@@ -8,7 +10,6 @@ from loopdet import (
     Match,
     brute_force_match,
     eight_point,
-    epipolar_error,
     ransac_fundamental,
     sampson_distance,
 )
@@ -93,16 +94,11 @@ class TestEpipolarError:
         med = float(np.median(sampson_distance(scene.F, pa, pb)))
         assert 0.1 < med < 3.0
 
-    def test_scalar_interface_accepts_homogeneous_points(self, rng):
-        scene = EpipolarScene(rng)
-        pa, pb = scene.correspondences(1)
-        e2 = epipolar_error(scene.F, np.append(pa[0], 1.0), np.append(pb[0], 1.0))
-        assert e2 == pytest.approx(0.0, abs=1e-9)
-
     def test_degenerate_denominator_is_infinite(self):
         F = np.zeros((3, 3))
         F[2, 2] = 1.0  # both epipolar line gradients vanish everywhere
-        assert epipolar_error(F, [1.0, 2.0], [3.0, 4.0]) == np.inf
+        errs = sampson_distance(F, np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
+        assert errs.tolist() == [np.inf]
 
 
 class TestEightPoint:
@@ -220,3 +216,15 @@ class TestRansac:
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(2))
         s = np.linalg.svd(result.matrix.m, compute_uv=False)
         assert s[2] < 1e-6 * s[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=8, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(300, 0)  # inlier fraction so low that w**8 underflows 1 - w**8 to 1.0
+    @example(300, 3)
+    def test_any_match_set_returns_result_or_none(self, m, seed):
+        rng = np.random.default_rng(seed)
+        a = LocalFeatureSet(0, rng.uniform(0, [1280, 960], (m, 2)), np.ones(m), np.zeros((m, 4)))
+        b = LocalFeatureSet(1, rng.uniform(0, [1280, 960], (m, 2)), np.ones(m), np.zeros((m, 4)))
+        matches = [Match(i, i, 0.0) for i in range(m)]
+        result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(seed))
+        assert result is None or result.inlier_count >= 12

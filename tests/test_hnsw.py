@@ -14,9 +14,8 @@ from loopdet import (
     assign_level,
     exact_knn,
     mean_recall,
-    select_neighbors,
-    similarity,
 )
+from loopdet.hnsw import _keep_diverse
 from conftest import unit_rows
 
 SMALL = HnswParams(M=8, ef_construction=32, ef_search=32, rng_seed=7)
@@ -29,35 +28,52 @@ def build_index(vectors, params=SMALL):
     return index
 
 
+def cosine(p, q):
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    return float(p @ q / (np.linalg.norm(p) * np.linalg.norm(q)))
+
+
+def reported_similarity(stored, query):
+    """Similarity that a one-element index reports for ``query``."""
+    index = HnswIndex(len(stored.values if isinstance(stored, GlobalDescriptor) else stored))
+    index.insert(0, stored)
+    (hit,) = index.knn_search(query, 1)
+    return hit.similarity
+
+
 class TestSimilarity:
+    """Search results carry the cosine of the query and the stored descriptor."""
+
     def test_self_similarity(self):
-        assert similarity([0.6, 0.8], [0.6, 0.8]) == pytest.approx(1.0, abs=1e-12)
+        assert reported_similarity([0.6, 0.8], [0.6, 0.8]) == pytest.approx(1.0, abs=1e-7)
 
     def test_orthogonal(self):
-        assert similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+        assert reported_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_45_degrees(self):
-        assert similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.7071, abs=1e-4)
+        assert reported_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.7071, abs=1e-4)
 
     def test_symmetry_and_range(self, rng):
         for _ in range(50):
             p, q = rng.standard_normal((2, 16))
-            s_pq = similarity(p, q)
-            assert abs(s_pq - similarity(q, p)) < 1e-7
-            assert -1.0 - 1e-6 <= s_pq <= 1.0 + 1e-6
+            s_pq = reported_similarity(p, q)
+            # descriptors are stored as float32
+            assert abs(s_pq - reported_similarity(q, p)) < 1e-6
+            assert abs(s_pq - cosine(p, q)) < 1e-6
+            assert -1.0 <= s_pq <= 1.0
 
     def test_accepts_global_descriptors(self):
         p = GlobalDescriptor(0, np.array([1.0, 0.0]))
         q = GlobalDescriptor(1, np.array([1.0, 0.0]))
-        assert similarity(p, q) == pytest.approx(1.0)
+        assert reported_similarity(p, q) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            similarity([1.0, 0.0], [1.0, 0.0, 0.0])
+            reported_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
 
     def test_zero_vector(self):
         with pytest.raises(ValueError):
-            similarity([0.0, 0.0], [1.0, 0.0])
+            reported_similarity([1.0, 0.0], [0.0, 0.0])
 
 
 class TestAssignLevel:
@@ -137,7 +153,7 @@ class TestKnnSearch:
         index.insert(0, v[0])
         res = index.knn_search(v[1], 1, ef=4)
         assert len(res) == 1 and res[0].frame_id == 0
-        assert res[0].similarity == pytest.approx(similarity(v[0], v[1]), abs=1e-6)
+        assert res[0].similarity == pytest.approx(cosine(v[0], v[1]), abs=1e-6)
 
     def test_exact_hit_ranked_first(self, rng):
         vectors = unit_rows(rng, 200, 16)
@@ -195,48 +211,54 @@ class TestKnnSearch:
         assert serial == parallel
 
 
-def keep_rule_oracle(base, cands, m, vectors):
-    """Literal brute-force transcription of the diversity keep rule."""
+def keep_rule_oracle(base, vecs, m, backfill=True):
+    """Literal brute-force transcription of the diversity keep rule over
+    candidate rows sorted by distance to ``base`` ascending."""
     kept = []
     discarded = []
     dist = lambda a, b: 1.0 - float(np.dot(a, b))
-    for c in cands:
+    for i, v in enumerate(vecs):
         if len(kept) == m:
             break
-        d_base = dist(vectors[c.frame_id], base)
-        if all(d_base < dist(vectors[c.frame_id], vectors[k.frame_id]) for k in kept):
-            kept.append(c)
+        d_base = dist(v, base)
+        if all(d_base < dist(v, vecs[k]) for k in kept):
+            kept.append(i)
         else:
-            discarded.append(c)
-    for c in discarded:
+            discarded.append(i)
+    for i in discarded if backfill else ():
         if len(kept) == m:
             break
-        kept.append(c)
-    return sorted(kept, key=lambda c: (-c.similarity, c.frame_id))
+        kept.append(i)
+    return kept
 
 
 class TestSelectNeighbors:
+    """The one neighbour-selection rule behind linking and pruning."""
+
+    @staticmethod
+    def by_distance(base, vecs):
+        """Candidates sorted by cosine distance to ``base``, with the inputs
+        of :func:`_keep_diverse`: distances to base and the pair matrix."""
+        vecs = np.asarray(vecs, dtype=np.float64)
+        d = 1.0 - vecs @ base
+        order = np.argsort(d, kind="stable")
+        vecs = vecs[order]
+        return vecs, d[order].tolist(), 1.0 - vecs @ vecs.T
+
     @staticmethod
     def on_circle(angles):
-        return {i: np.array([np.cos(a), np.sin(a)]) for i, a in enumerate(angles)}
-
-    def make_candidates(self, base, vectors):
-        cands = [Neighbor(i, similarity(base, v)) for i, v in vectors.items()]
-        cands.sort(key=lambda c: (-c.similarity, c.frame_id))
-        return cands
+        return np.column_stack([np.cos(angles), np.sin(angles)])
 
     def test_identity_when_under_capacity(self):
-        vectors = self.on_circle([0.3, 1.2, 2.2])
         base = np.array([1.0, 0.0])
-        cands = self.make_candidates(base, vectors)
-        assert select_neighbors(base, cands, 5, vectors) == cands
+        _, d, pair = self.by_distance(base, self.on_circle([0.3, 1.2, 2.2]))
+        assert sorted(_keep_diverse(d, pair, 5, backfill=True)) == [0, 1, 2]
 
     def test_near_duplicates_pruned_to_nearer(self):
-        vectors = self.on_circle([0.30, 0.31])
         base = np.array([1.0, 0.0])
-        cands = self.make_candidates(base, vectors)
-        kept = select_neighbors(base, cands, 1, vectors)
-        assert [c.frame_id for c in kept] == [0]
+        _, d, pair = self.by_distance(base, self.on_circle([0.31, 0.30]))
+        assert _keep_diverse(d, pair, 1, backfill=True) == [0]
+        assert _keep_diverse(d, pair, 2, backfill=False) == [0]
 
     def test_two_clusters_both_represented(self, rng):
         # clusters on either side of the base survive the keep rule together
@@ -244,26 +266,21 @@ class TestSelectNeighbors:
             0.35 + 0.05 * rng.random(10),
             -0.80 - 0.05 * rng.random(10),
         ])
-        vectors = self.on_circle(angles)
         base = np.array([1.0, 0.0])
-        cands = self.make_candidates(base, vectors)
-        kept = select_neighbors(base, cands, 4, vectors)
-        oracle = keep_rule_oracle(base, cands, 4, vectors)
-        assert kept == oracle
-        near = sum(1 for c in kept if c.frame_id < 10)
-        far = sum(1 for c in kept if c.frame_id >= 10)
-        assert near >= 1 and far >= 1
+        vecs, d, pair = self.by_distance(base, self.on_circle(angles))
+        kept = _keep_diverse(d, pair, 4, backfill=True)
+        assert kept == keep_rule_oracle(base, vecs, 4)
+        assert (vecs[kept, 1] > 0).any() and (vecs[kept, 1] < 0).any()
 
     def test_matches_oracle_on_random_instances(self, rng):
         for trial in range(20):
-            vecs = unit_rows(rng, 15, 6)
-            vectors = {i: v for i, v in enumerate(vecs)}
             base = unit_rows(rng, 1, 6)[0]
-            cands = self.make_candidates(base, vectors)
+            vecs, d, pair = self.by_distance(base, unit_rows(rng, 15, 6))
             for m in (1, 3, 7):
-                assert select_neighbors(base, cands, m, vectors) == keep_rule_oracle(
-                    base, cands, m, vectors
-                )
+                for backfill in (True, False):
+                    assert _keep_diverse(d, pair, m, backfill=backfill) == keep_rule_oracle(
+                        base, vecs, m, backfill
+                    )
 
 
 class TestDeterminism:
