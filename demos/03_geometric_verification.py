@@ -17,7 +17,7 @@ from loopdet import (
 )
 
 rng = np.random.default_rng(3)
-scene = EpipolarScene(rng, image_size=(1280, 960))
+scene = EpipolarScene(rng)
 
 # 70 true correspondences with 1 px keypoint noise, 30 unrelated pairs
 n_inl, n_out, dim = 70, 30, 40

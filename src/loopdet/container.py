@@ -8,8 +8,9 @@ Layout, all little-endian, floats IEEE-754 binary32:
               n_local x (f32 x, f32 y, f32 score, f32 desc[d])
 
 Rejections carry a machine-readable ``category``: "format" for bad
-magic/version/header values, "corruption" for truncation, count mismatches
-or non-finite payloads, "order" for non-monotonic frame ids.
+magic/version/header values, "corruption" for truncation, count mismatches,
+non-finite payloads or an all-zero global descriptor, "order" for
+non-monotonic frame ids.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
                 raise CorruptionError(
                     "non-finite global descriptor", offset=f.tell(), frame_index=k
                 )
+            if not g.any():
+                raise CorruptionError("zero global descriptor", offset=f.tell(), frame_index=k)
             (n_local,) = struct.unpack("<I", _read_exact(f, 4, k))
             if n_local * record > file_size - f.tell():
                 raise CorruptionError(
@@ -208,8 +211,12 @@ def write_features(
             raise ValueError(f"frame {frame_id}: global dimension {g.dim} != {dim_global}")
         if len(locals_) and locals_.dim != dim_local:
             raise ValueError(f"frame {frame_id}: local dimension {locals_.dim} != {dim_local}")
-        if not np.isfinite(g.values).all():
+        # checked as stored, so the reader accepts every frame written
+        stored = np.asarray(g.values, dtype="<f4")
+        if not np.isfinite(stored).all():
             raise ValueError(f"frame {frame_id}: non-finite global descriptor")
+        if not stored.any():
+            raise ValueError(f"frame {frame_id}: zero global descriptor")
 
     with atomic_output(path) as f:
         f.write(_HEADER.pack(MAGIC, VERSION, len(frames), dim_global, dim_local, phi, s_g, s_l))

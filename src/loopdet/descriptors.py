@@ -122,15 +122,15 @@ class PcaModel:
 
     ``basis`` is (raw_dim, out_dim) with orthonormal columns sorted by
     decreasing explained variance; ``eigenvalues`` holds the matching sample
-    variances.  ``degenerate`` marks rank-deficient fits whose trailing
-    components are an arbitrary orthonormal completion with zero variance.
+    variances.  A model is ``degenerate`` (a rank-deficient fit) when a
+    trailing component is an arbitrary orthonormal completion with zero
+    variance.
     """
 
     mean: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
     whiten: bool = False
-    degenerate: bool = False
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -152,6 +152,10 @@ class PcaModel:
     def out_dim(self) -> int:
         return self.basis.shape[1]
 
+    @property
+    def degenerate(self) -> bool:
+        return bool((self.eigenvalues <= 0).any())
+
 
 def fit_pca(samples, out_dim: int = DEFAULT_REDUCED_DIM, *, whiten: bool = False) -> PcaModel:
     """Fit a PCA reduction on L2-normalized raw local descriptors.
@@ -160,7 +164,7 @@ def fit_pca(samples, out_dim: int = DEFAULT_REDUCED_DIM, *, whiten: bool = False
     rows), centered, and decomposed; the returned basis spans the top
     ``out_dim`` principal directions of the sample covariance (1/(n-1)
     normalization).  A rank-deficient covariance yields a model padded with
-    an orthonormal completion, zero variance, and ``degenerate=True``.
+    an orthonormal completion with zero variance, so it is ``degenerate``.
 
     Raises ``ValueError`` unless the sample count exceeds ``out_dim``.
     """
@@ -187,15 +191,8 @@ def fit_pca(samples, out_dim: int = DEFAULT_REDUCED_DIM, *, whiten: bool = False
     # rows are unit vectors, so singular values below the eps floor are noise
     tol = max(n, d) * np.finfo(np.float64).eps * max(S[0], 1.0)
     eigenvalues = (S[:out_dim] ** 2) / (n - 1)
-    deficient = S[:out_dim] <= tol
-    eigenvalues[deficient] = 0.0
-    return PcaModel(
-        mean=mean,
-        basis=Vt[:out_dim].T,
-        eigenvalues=eigenvalues,
-        whiten=whiten,
-        degenerate=bool(deficient.any()),
-    )
+    eigenvalues[S[:out_dim] <= tol] = 0.0
+    return PcaModel(mean, Vt[:out_dim].T, eigenvalues, whiten=whiten)
 
 
 def _project(model: PcaModel, X: np.ndarray) -> np.ndarray:
@@ -275,10 +272,4 @@ def load_pca_model(path) -> PcaModel:
         (whiten,) = struct.unpack("<B", _read_exact(f, 1, "whiten flag"))
         if f.read(1):
             raise ValueError("trailing bytes after PCA model payload")
-    return PcaModel(
-        mean=mean,
-        basis=basis,
-        eigenvalues=np.maximum(eig, 0.0),
-        whiten=bool(whiten),
-        degenerate=bool((eig <= 0).any()),
-    )
+    return PcaModel(mean, basis, np.maximum(eig, 0.0), whiten=bool(whiten))

@@ -27,6 +27,12 @@ from .pipeline import (
 
 Frame = tuple[int, GlobalDescriptor, LocalFeatureSet]
 
+# fixed settings of the synthetic generator: adjacent-frame cosine of the
+# global random walk, image width and height in pixels, attention-score range
+DRIFT = 0.98
+IMAGE_SIZE = (1280, 960)
+SCORE_RANGE = (20.0, 100.0)
+
 
 # ---------------------------------------------------------------------------
 # ground truth and scoring
@@ -227,10 +233,7 @@ class SynthConfig:
     sigma_global: float = 0.0
     sigma_px: float = 0.0
     sigma_desc: float = 0.0
-    drift: float = 0.98
-    image_size: tuple[int, int] = (1280, 960)
     exclusion_zone: int = 400
-    score_range: tuple[float, float] = (20.0, 100.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -238,8 +241,6 @@ class SynthConfig:
             raise ValueError("n_frames must be >= 1")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
-        if not 0.0 < self.drift < 1.0:
-            raise ValueError("drift must be in (0, 1)")
         spans = []
         for seg in self.segments:
             if seg.length < 1:
@@ -275,7 +276,6 @@ class SyntheticDataset:
     frames: list[Frame]
     ground_truth: GroundTruth
     planted: dict[int, PlantedLoop]
-    seed: int
     config: SynthConfig
 
     @property
@@ -290,9 +290,8 @@ class SyntheticDataset:
 class EpipolarScene:
     """Random calibrated two-view rig used to plant exact correspondences."""
 
-    def __init__(self, rng: np.random.Generator, image_size: tuple[int, int] = (1280, 960)):
-        w, h = image_size
-        self.image_size = image_size
+    def __init__(self, rng: np.random.Generator):
+        w, h = IMAGE_SIZE
         f = 0.9 * w
         self.K = np.array([[f, 0.0, w / 2.0], [0.0, f, h / 2.0], [0.0, 0.0, 1.0]])
         angles = rng.uniform(-0.12, 0.12, size=3)
@@ -322,7 +321,7 @@ class EpipolarScene:
 
     def correspondences(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample n 3-D points visible in both views; returns exact pixel pairs."""
-        w, h = self.image_size
+        w, h = IMAGE_SIZE
         pts_a = np.empty((n, 2))
         pts_b = np.empty((n, 2))
         got = 0
@@ -355,7 +354,7 @@ class EpipolarScene:
     def outlier_pairs(self, n: int, min_sampson: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
         """Uniform point pairs rejection-sampled away from the epipolar
         constraint, so outlier labels are geometrically meaningful."""
-        w, h = self.image_size
+        w, h = IMAGE_SIZE
         pts_a = np.empty((n, 2))
         pts_b = np.empty((n, 2))
         got = 0
@@ -384,7 +383,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
     """Build a deterministic synthetic trajectory with planted revisits.
 
     Global descriptors follow a smooth random walk on the unit sphere
-    (adjacent-frame cosine about ``drift``); each revisit frame re-emits its
+    (adjacent-frame cosine about :data:`DRIFT`); each revisit frame re-emits its
     origin descriptor plus a noise vector of norm ``sigma_global``.  Loop
     pairs share planted local correspondences generated from a random
     fundamental matrix, with ``sigma_px`` keypoint noise and an
@@ -396,11 +395,11 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
 
     base = np.empty((T, D))
     v = _unit_rows(rng, 1, D)[0]
-    step = math.sqrt(1.0 - cfg.drift**2)
+    step = math.sqrt(1.0 - DRIFT**2)
     for i in range(T):
         base[i] = v
         w = _unit_rows(rng, 1, D)[0]
-        v = l2_normalize(cfg.drift * v + step * w)
+        v = l2_normalize(DRIFT * v + step * w)
 
     role: dict[int, tuple[str, int]] = {}  # frame -> ("origin"|"revisit", partner)
     for seg in cfg.segments:
@@ -411,7 +410,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
     n_total = cfg.features_per_frame
     n_out = int(round(cfg.outlier_fraction * n_total))
     n_inl = n_total - n_out
-    lo, hi = cfg.score_range
+    lo, hi = SCORE_RANGE
 
     globals_ = np.empty((T, D))
     locals_: dict[int, LocalFeatureSet] = {}
@@ -427,7 +426,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
             globals_[i] = base[i]
 
         if kind == "revisit":
-            scene = EpipolarScene(rng, cfg.image_size)
+            scene = EpipolarScene(rng)
             pa, pb = scene.correspondences(n_inl)
             if cfg.sigma_px > 0:
                 pb = pb + rng.normal(0.0, cfg.sigma_px, pb.shape)
@@ -458,7 +457,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
         elif kind == "origin":
             pass  # filled in by the matching revisit frame above or below
         else:
-            w_img, h_img = cfg.image_size
+            w_img, h_img = IMAGE_SIZE
             locals_[i] = LocalFeatureSet(
                 i,
                 np.column_stack(
@@ -473,7 +472,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
         for i in range(T)
     ]
     gt = GroundTruth(gt_pairs, frozenset(range(T)))
-    return SyntheticDataset(frames, gt, planted, cfg.seed, cfg)
+    return SyntheticDataset(frames, gt, planted, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .descriptors import GlobalDescriptor, l2_normalize
+from .descriptors import l2_normalize
 
 INDEX_MAGIC = b"FHNW"
 INDEX_VERSION = 1
@@ -37,18 +37,17 @@ class IndexAuditError(RuntimeError):
 class HnswParams:
     """Graph construction and search knobs.
 
-    ``M0`` defaults to ``2 * M`` and ``level_lambda`` to ``1 / ln(M)``,
-    following the standard HNSW construction.  ``ef_construction`` below
-    ``M`` is accepted (it is a common published operating point) and is
-    clamped to ``M`` internally when gathering link candidates.
+    The ground-layer degree cap ``M0`` is ``2 * M`` and the level scale
+    ``level_lambda`` is ``1 / ln(M)``, following the standard HNSW
+    construction.  ``ef_construction`` below ``M`` is accepted (it is a
+    common published operating point) and is clamped to ``M`` internally
+    when gathering link candidates.
     """
 
     M: int = 48
     ef_construction: int = 40
     ef_search: int = 40
     rng_seed: int = 0
-    M0: int = 0  # 0 -> resolved to 2 * M
-    level_lambda: float = 0.0  # 0 -> resolved to 1 / ln(M)
 
     def __post_init__(self):
         if self.M < 2:
@@ -59,14 +58,14 @@ class HnswParams:
             raise ValueError(f"ef_search must be >= 1, got {self.ef_search}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if self.M0 == 0:
-            object.__setattr__(self, "M0", 2 * self.M)
-        if self.M0 < self.M:
-            raise ValueError(f"M0 must be >= M, got {self.M0} < {self.M}")
-        if self.level_lambda == 0.0:
-            object.__setattr__(self, "level_lambda", 1.0 / math.log(self.M))
-        if self.level_lambda < 0:
-            raise ValueError("level_lambda must be non-negative")
+
+    @property
+    def M0(self) -> int:
+        return 2 * self.M
+
+    @property
+    def level_lambda(self) -> float:
+        return 1.0 / math.log(self.M)
 
     @property
     def ef_construction_effective(self) -> int:
@@ -175,6 +174,13 @@ class HnswIndex:
         self._links.append([empty] * (level + 1))
         return idx
 
+    def _unit(self, values) -> np.ndarray:
+        """The float64 unit vector of one descriptor of the index dimension."""
+        vec = np.asarray(values, dtype=np.float64).reshape(-1)
+        if vec.shape[0] != self._dim:
+            raise ValueError(f"dimension mismatch: index dim {self._dim}, got {vec.shape[0]}")
+        return l2_normalize(vec)
+
     def insert(self, frame_id: int, values) -> None:
         """Insert one descriptor; the node becomes searchable immediately.
 
@@ -184,72 +190,52 @@ class HnswIndex:
             raise ValueError(f"frame {frame_id} already present")
         if frame_id < 0:
             raise ValueError("frame_id must be non-negative")
-        vec = values.values if isinstance(values, GlobalDescriptor) else values
-        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if vec.shape[0] != self._dim:
-            raise ValueError(f"dimension mismatch: index dim {self._dim}, got {vec.shape[0]}")
-        vec32 = l2_normalize(vec).astype(np.float32)
+        q = self._unit(values).astype(np.float32)
 
         level = assign_level(self._rng, self.params.level_lambda)
-        idx = self._append_node(frame_id, vec32, level)
+        idx = self._append_node(frame_id, q, level)
 
         if self._entry is None:
             self._entry = idx
             self._max_level = level
             return
 
-        q = vec32
-        ep = [self._entry]
-        for layer in range(self._max_level, level, -1):
-            ep = [i for _, i in self._search_layer(q, ep, layer, 1)]
-
+        ep = self._descend(q, level)
         ef = self.params.ef_construction_effective
         for layer in range(min(level, self._max_level), -1, -1):
             candidates = self._search_layer(q, ep, layer, ef)
-            chosen = self._select_for_link(q, candidates, self.params.M)
-            self._links[idx][layer] = np.fromiter(
-                (i for _, i in chosen), dtype=np.int64, count=len(chosen)
-            )
+            ep = [i for _, i in candidates]
+            chosen = self._select(ep, [d for d, _ in candidates], self.params.M, backfill=True)
+            self._links[idx][layer] = np.array(chosen, dtype=np.int64)
             cap = self.params.M0 if layer == 0 else self.params.M
-            for _, j in chosen:
+            for j in chosen:
                 arr = self._links[j][layer]
                 if arr.shape[0] < cap:
                     self._links[j][layer] = np.append(arr, idx)
-                else:
-                    self._prune_links(j, layer, idx, cap)
-            ep = [i for _, i in candidates]
+                    continue
+                # re-select j's links without backfill: leaving headroom below
+                # the cap avoids re-pruning on every later backlink
+                cand = np.append(arr, idx)
+                dists = 1.0 - self._vectors[cand] @ self._vectors[j]
+                order = np.lexsort((cand, dists))
+                kept = self._select(cand[order], dists[order].tolist(), cap, backfill=False)
+                self._links[j][layer] = np.array(kept, dtype=np.int64)
 
         if level > self._max_level:
             self._entry = idx
             self._max_level = level
 
-    def _select_for_link(
-        self, q: np.ndarray, candidates: list[tuple[float, int]], m: int
-    ) -> list[tuple[float, int]]:
-        """Diversity heuristic with backfill over (dist, idx) sorted ascending."""
-        if len(candidates) <= m:
-            return candidates
-        idxs = [i for _, i in candidates]
-        vecs = self._vectors[idxs]
-        pair = 1.0 - vecs @ vecs.T
-        kept = _keep_diverse([d for d, _ in candidates], pair, m, backfill=True)
-        return [candidates[i] for i in kept]
+    def _select(self, ids, dists: list[float], m: int, *, backfill: bool) -> list[int]:
+        """The one neighbor-selection routine: up to ``m`` of ``ids`` by :func:`_keep_diverse`.
 
-    def _prune_links(self, j: int, layer: int, new_idx: int, cap: int) -> None:
-        """Re-select node j's links after a backlink would exceed the cap.
-
-        No backfill here: leaving headroom below the cap avoids re-pruning on
-        every subsequent backlink and matches the reference construction.
+        ``ids`` are sorted by (distance to the base element, id) and
+        ``dists`` holds those distances; ``m`` or fewer candidates are all kept.
         """
-        cand = np.append(self._links[j][layer], new_idx)
-        vecs = self._vectors[cand]
-        base = self._vectors[j]
-        dists = 1.0 - vecs @ base
-        order = np.lexsort((cand, dists))
-        cand = cand[order]
-        pair = 1.0 - vecs[order] @ vecs[order].T
-        kept = _keep_diverse(dists[order].tolist(), pair, cap, backfill=False)
-        self._links[j][layer] = cand[list(kept)]
+        if len(ids) <= m:
+            return list(ids)
+        vecs = self._vectors[ids]
+        kept = _keep_diverse(dists, 1.0 - vecs @ vecs.T, m, backfill=backfill)
+        return [ids[i] for i in kept]
 
     # -- search -------------------------------------------------------------------
 
@@ -291,6 +277,14 @@ class HnswIndex:
                     heappush(candidates, (dist, i))
         return sorted((-nd, i) for nd, i in results)
 
+    def _descend(self, q: np.ndarray, level: int) -> list[int]:
+        """Greedy beam-of-one descent from the entry point to layer ``level``;
+        returns the entry points for that layer."""
+        ep = [self._entry]
+        for layer in range(self._max_level, level, -1):
+            ep = [i for _, i in self._search_layer(q, ep, layer, 1)]
+        return ep
+
     def knn_search(self, query, k: int, ef: int | None = None) -> list[Neighbor]:
         """Approximate k nearest frames by cosine similarity.
 
@@ -307,16 +301,9 @@ class HnswIndex:
             ef = self.params.ef_search
         if ef < k:
             raise ValueError(f"ef ({ef}) must be >= k ({k})")
-        vec = query.values if isinstance(query, GlobalDescriptor) else query
-        q64 = l2_normalize(np.asarray(vec, dtype=np.float64).reshape(-1))
-        if q64.shape[0] != self._dim:
-            raise ValueError(f"dimension mismatch: index dim {self._dim}, got {q64.shape[0]}")
+        q64 = self._unit(query)
         q = q64.astype(np.float32)
-
-        ep = [self._entry]
-        for layer in range(self._max_level, 0, -1):
-            ep = [i for _, i in self._search_layer(q, ep, layer, 1)]
-        found = self._search_layer(q, ep, 0, ef)[:k]
+        found = self._search_layer(q, self._descend(q, 0), 0, ef)[:k]
 
         out = []
         for _, i in found:
@@ -415,20 +402,20 @@ class HnswIndex:
             if version != INDEX_VERSION:
                 raise ValueError(f"unsupported index snapshot version {version}")
             (entry_id,) = struct.unpack("<Q", read(f, 8, "entry point"))
-            params = HnswParams(
-                M=M, ef_construction=ef_c, ef_search=ef_s, rng_seed=seed,
-                M0=M0, level_lambda=lam,
-            )
+            params = HnswParams(M=M, ef_construction=ef_c, ef_search=ef_s, rng_seed=seed)
+            if (M0, lam) != (params.M0, params.level_lambda):
+                raise ValueError(
+                    f"snapshot header M0={M0} level_lambda={lam!r} do not match "
+                    f"M={M} (expected {params.M0} and {params.level_lambda!r})"
+                )
             index = cls(dim, params)
-            levels = []
             for k in range(count):
                 fid, level = struct.unpack("<QB", read(f, 9, f"node {k} header"))
                 vec = np.frombuffer(read(f, 4 * dim, f"node {k} descriptor"), dtype="<f4")
                 index._append_node(fid, vec.copy(), level)
-                levels.append(level)
             for idx in range(count):
                 layers = []
-                for layer in range(levels[idx] + 1):
+                for layer in range(index._levels[idx] + 1):
                     (degree,) = struct.unpack(
                         "<I", read(f, 4, f"node {idx} layer {layer} degree")
                     )
@@ -446,7 +433,7 @@ class HnswIndex:
                 raise ValueError("trailing bytes after index snapshot payload")
 
         if count:
-            index._max_level = max(levels)
+            index._max_level = max(index._levels)
             if entry_id not in index._id_to_idx:
                 raise ValueError("snapshot entry point references unknown frame")
             index._entry = index._id_to_idx[entry_id]

@@ -194,6 +194,8 @@ class LoopClosurePipeline:
             raise ValueError(
                 f"descriptor dimension {vec.shape[0]} does not match index dim {self.index.dim}"
             )
+        # a zero descriptor raises here, before any state changes
+        unit = l2_normalize(vec).astype(np.float32)
         stages = dict.fromkeys(STAGES, 0.0)
 
         t0 = time.perf_counter()
@@ -208,8 +210,7 @@ class LoopClosurePipeline:
             self.index.insert(old_id, old_vec)
             stages["adding_feature"] = time.perf_counter() - t0
 
-        detection = None
-        matched, inliers, sim = None, -1, float("nan")
+        best = None
         if len(self.index) > 0:
             t0 = time.perf_counter()
             candidates = self.index.knn_search(
@@ -217,24 +218,19 @@ class LoopClosurePipeline:
             )
             stages["graph_searching"] = time.perf_counter() - t0
             best = self.verify_candidates(kept, candidates, stages=stages)
-            if best is not None:
-                matched, result, sim = best
-                inliers = result.inlier_count
-                if self._temporal.update(matched):
-                    if frame_id - matched < cfg.n_non:
-                        raise RuntimeError(
-                            "exclusion-zone invariant violated: "
-                            f"{frame_id} matched {matched}"
-                        )
-                    detection = LoopDetection(
-                        frame_id, matched, result.inlier_count, result.matrix, sim
-                    )
-            else:
-                self._temporal.update(None)
-        else:
-            self._temporal.update(None)
+        matched, inliers, sim = None, -1, float("nan")
+        if best is not None:
+            matched, result, sim = best
+            inliers = result.inlier_count
+        detection = None
+        if self._temporal.update(matched):
+            if frame_id - matched < cfg.n_non:
+                raise RuntimeError(
+                    f"exclusion-zone invariant violated: {frame_id} matched {matched}"
+                )
+            detection = LoopDetection(frame_id, matched, inliers, result.matrix, sim)
 
-        self.fifo.append((frame_id, l2_normalize(vec).astype(np.float32)))
+        self.fifo.append((frame_id, unit))
         self.locals_store[frame_id] = kept
         self._last_frame_id = frame_id
         stages["whole_system"] = time.perf_counter() - t_start

@@ -9,7 +9,7 @@ def unit_rows(rng, n, dim):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def planted_matches(seed, n_matches=100, inlier_frac=0.7, sigma_px=0.0, image_size=(1280, 960)):
+def planted_matches(seed, n_matches=100, inlier_frac=0.7, sigma_px=0.0):
     """Labeled match list from a random two-view scene.
 
     Inlier pairs are exact projections (plus ``sigma_px`` noise on the second
@@ -19,7 +19,7 @@ def planted_matches(seed, n_matches=100, inlier_frac=0.7, sigma_px=0.0, image_si
     true_F).
     """
     rng = np.random.default_rng(seed)
-    scene = EpipolarScene(rng, image_size)
+    scene = EpipolarScene(rng)
     n_inl = int(round(inlier_frac * n_matches))
     n_out = n_matches - n_inl
     pa, pb = scene.correspondences(n_inl)

@@ -76,6 +76,29 @@ class TestDetect:
         assert run(["detect", "--features", bad, "--out", out] + DETECT_FLAGS) == 2
         assert not out.exists()
 
+    def test_zero_global_descriptor_exits_2_without_output(self, tmp_path, capsys):
+        from loopdet import GlobalDescriptor, LocalFeatureSet, write_features
+
+        rng = np.random.default_rng(4)
+        feats = tmp_path / "zero.fftc"
+        frames = [
+            (i, GlobalDescriptor(i, rng.standard_normal(8).astype(np.float32)),
+             LocalFeatureSet.empty(i, 4))
+            for i in range(30)
+        ]
+        write_features(feats, frames, phi=10.0)
+        raw = bytearray(feats.read_bytes())
+        start = 32 + 25 * (8 + 8 * 4 + 4) + 8  # frame 25's global descriptor
+        raw[start : start + 8 * 4] = bytes(8 * 4)
+        feats.write_bytes(bytes(raw))
+        out = tmp_path / "det.csv"
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--out", out] + DETECT_FLAGS) == 2
+        assert not out.exists()
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
+        assert len(errors) == 1
+        assert "corruption" in errors[0] and "frame 25" in errors[0]
+
     def test_byte_identical_reruns(self, synth_paths, tmp_path):
         feats, _ = synth_paths
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -95,6 +95,20 @@ class TestWriterValidation:
             write_features(path, [(0, bad, LocalFeatureSet.empty(0, 2))], phi=10.0)
         assert not path.exists()
 
+    def test_float32_overflow_rejected(self, tmp_path):
+        path = tmp_path / "f.fftc"
+        big = GlobalDescriptor(0, np.array([1e39, 1.0]))
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
+            write_features(path, [(0, big, LocalFeatureSet.empty(0, 2))], phi=10.0)
+        assert not path.exists()
+
+    def test_zero_global_rejected(self, tmp_path):
+        path = tmp_path / "f.fftc"
+        zero = GlobalDescriptor(0, np.zeros(4, dtype=np.float32))
+        with pytest.raises(ValueError, match="zero global"):
+            write_features(path, [(0, zero, LocalFeatureSet.empty(0, 2))], phi=10.0)
+        assert not path.exists()
+
     def test_empty_needs_explicit_dims(self, tmp_path):
         with pytest.raises(ValueError):
             write_features(tmp_path / "f.fftc", [], phi=10.0)
@@ -189,6 +203,21 @@ class TestReaderRejections:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptionError, match="finite"):
             list(read_features(path))
+
+    def test_zero_global_descriptor_names_frame(self, tmp_path, rng):
+        path = tmp_path / "f.fftc"
+        write_sample(path, rng, count=30, dim_global=8, dim_local=4, n_local=3)
+        raw = bytearray(path.read_bytes())
+        record = 8 + 8 * 4 + 4 + 3 * (3 + 4) * 4
+        start = 32 + 25 * record + 8  # frame 25's global descriptor
+        raw[start : start + 8 * 4] = bytes(8 * 4)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="zero global") as err:
+            list(read_features(path))
+        assert err.value.category == "corruption"
+        assert err.value.frame_index == 25
+        assert err.value.offset == start + 8 * 4
+        assert "frame 25" in str(err.value)
 
     def test_zero_dimension_header(self, tmp_path, rng):
         path = tmp_path / "f.fftc"

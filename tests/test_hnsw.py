@@ -1,4 +1,5 @@
 import math
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from loopdet import (
     DegenerateDescriptorError,
-    GlobalDescriptor,
     HnswIndex,
     HnswParams,
     IndexAuditError,
@@ -35,7 +35,7 @@ def cosine(p, q):
 
 def reported_similarity(stored, query):
     """Similarity that a one-element index reports for ``query``."""
-    index = HnswIndex(len(stored.values if isinstance(stored, GlobalDescriptor) else stored))
+    index = HnswIndex(len(stored))
     index.insert(0, stored)
     (hit,) = index.knn_search(query, 1)
     return hit.similarity
@@ -61,11 +61,6 @@ class TestSimilarity:
             assert abs(s_pq - reported_similarity(q, p)) < 1e-6
             assert abs(s_pq - cosine(p, q)) < 1e-6
             assert -1.0 <= s_pq <= 1.0
-
-    def test_accepts_global_descriptors(self):
-        p = GlobalDescriptor(0, np.array([1.0, 0.0]))
-        q = GlobalDescriptor(1, np.array([1.0, 0.0]))
-        assert reported_similarity(p, q) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -348,6 +343,21 @@ class TestSnapshot:
         for q in queries:
             assert straight.knn_search(q, 5, ef=40) == resumed.knn_search(q, 5, ef=40)
 
+    def test_header_stores_derived_params(self, tmp_path, rng):
+        path = tmp_path / "index.fhnw"
+        build_index(unit_rows(rng, 30, 8)).save(path)
+        _, M, M0, _, _, lam, _, _, _ = struct.unpack_from("<IIIIIdQIQ", path.read_bytes(), 4)
+        assert (M, M0, lam) == (8, 16, 1.0 / math.log(8))
+
+    def test_mismatched_M0_rejected(self, tmp_path, rng):
+        path = tmp_path / "index.fhnw"
+        build_index(unit_rows(rng, 30, 8)).save(path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, 9)  # M0 follows magic, version and M
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="M0"):
+            HnswIndex.load(path)
+
     def test_corrupted_snapshot_rejected(self, tmp_path, rng):
         index = build_index(unit_rows(rng, 30, 8))
         path = tmp_path / "index.fhnw"
@@ -373,5 +383,3 @@ class TestParams:
             HnswParams(M=1)
         with pytest.raises(ValueError):
             HnswParams(M=4, ef_search=0)
-        with pytest.raises(ValueError):
-            HnswParams(M=4, M0=2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loopdet import (
+    DegenerateDescriptorError,
     EpipolarScene,
     HnswParams,
     LocalFeatureSet,
@@ -127,6 +128,22 @@ class TestProcessFrame:
         pipe = LoopClosurePipeline(tiny_config(), 16)
         with pytest.raises(ValueError, match="dimension"):
             pipe.process_frame(0, np.ones(8), LocalFeatureSet.empty(0, 4))
+
+    def test_zero_descriptor_rejected_before_any_state_changes(self, rng):
+        cfg = tiny_config()  # N_non = 20
+        pipe = LoopClosurePipeline(cfg, 16)
+        for fid, g, lf in drifting_frames(rng, 25):
+            pipe.process_frame(fid, g, lf)
+        assert len(pipe.fifo) == cfg.n_non
+        fifo, index_ids = list(pipe.fifo), pipe.index.frame_ids
+        records, last = list(pipe.records), pipe._last_frame_id
+        with pytest.raises(DegenerateDescriptorError):
+            pipe.process_frame(25, np.zeros(16), LocalFeatureSet.empty(25, 4))
+        assert list(pipe.fifo) == fifo
+        assert pipe.index.frame_ids == index_ids
+        assert pipe.records == records
+        assert pipe._last_frame_id == last == 24
+        assert 25 not in pipe.locals_store
 
     def test_detection_starts_on_second_revisit_frame(self):
         # beta = 2: the streak-leading revisit frame is never reported
