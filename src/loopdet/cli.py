@@ -3,7 +3,9 @@
 Configuration precedence is defaults < config file (flat ``key=value``
 lines) < command-line flags.  Every run echoes the fully resolved parameter
 set to standard error.  Exit codes: 0 success, 1 semantic failure during
-detection/evaluation, 2 usage or file errors.
+detection/evaluation, 2 usage or file errors, 3 an internal invariant
+violated (a ``RuntimeError`` such as the exclusion-zone check or
+``IndexAuditError``); each failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -489,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

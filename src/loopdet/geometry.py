@@ -61,9 +61,11 @@ def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) ->
 
     For every feature of ``a`` the two nearest descriptors of ``b`` are
     found by Euclidean distance; a match is emitted only if
-    ``d1 < epsilon * d2`` (strict).  Matching is one-directional (best match
-    per query feature).  Returns an empty list when ``b`` has fewer than two
-    features, since the ratio is then undefined.
+    ``d1 < epsilon * d2`` (strict).  A tie for the nearest goes to the lowest
+    index of ``b``, and its tied twin is then the second nearest, so the
+    feature is rejected.  Matching is one-directional (best match per query
+    feature).  Returns an empty list when ``b`` has fewer than two features,
+    since the ratio is then undefined.
     """
     if len(a) and len(b) and a.dim != b.dim:
         raise ValueError(f"descriptor dimension mismatch: {a.dim} vs {b.dim}")
@@ -71,19 +73,22 @@ def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) ->
         return []
     A = np.asarray(a.descriptors, dtype=np.float64)
     B = np.asarray(b.descriptors, dtype=np.float64)
-    d2 = (
-        (A * A).sum(axis=1)[:, None]
-        + (B * B).sum(axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    # |a|^2 + |b|^2 - 2 a.b, rounded in that order, with in-place steps
+    G = A @ B.T
+    G *= 2.0
+    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+    d2 -= G
     np.maximum(d2, 0.0, out=d2)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :2]
+    # two minimum passes instead of a sort: argmin keeps the first of tied
+    # minima, and once it is masked the row minimum is the second distance
     rows = np.arange(A.shape[0])
-    d1 = np.sqrt(d2[rows, order[:, 0]])
-    dn2 = np.sqrt(d2[rows, order[:, 1]])
+    first = d2.argmin(axis=1)
+    d1 = np.sqrt(d2[rows, first])
+    d2[rows, first] = np.inf
+    dn2 = np.sqrt(d2.min(axis=1))
     accepted = d1 < epsilon * dn2
     return [
-        Match(int(i), int(order[i, 0]), float(d1[i]))
+        Match(int(i), int(first[i]), float(d1[i]))
         for i in np.nonzero(accepted)[0]
     ]
 
@@ -91,6 +96,19 @@ def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) ->
 def _homogeneous(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
     return np.hstack([pts, np.ones((pts.shape[0], 1))])
+
+
+def _sampson_stack(F: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Sampson errors of a ``(K, 3, 3)`` matrix stack over ``(m, 3)``
+    homogeneous point pairs, as a ``(K, m)`` array; ``+inf`` where the
+    epipolar gradient is all zero."""
+    la = xa @ F.transpose(0, 2, 1)  # rows: F x1
+    lb = xb @ F  # rows: F^T x2
+    e = np.einsum("kij,kij->ki", np.broadcast_to(xb, la.shape), la)
+    den = la[..., 0] ** 2 + la[..., 1] ** 2 + lb[..., 0] ** 2 + lb[..., 1] ** 2
+    return np.divide(
+        np.abs(e), np.sqrt(den), out=np.full(den.shape, np.inf), where=den > 0.0
+    )
 
 
 def sampson_distance(F, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
@@ -101,28 +119,61 @@ def sampson_distance(F, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarra
     Fm = F.m if isinstance(F, FundamentalMatrix) else np.asarray(F, dtype=np.float64)
     xa = _homogeneous(np.atleast_2d(points_a))
     xb = _homogeneous(np.atleast_2d(points_b))
-    la = xa @ Fm.T  # rows: F x1
-    lb = xb @ Fm  # rows: F^T x2
-    e = np.einsum("ij,ij->i", xb, la)
-    den = la[:, 0] ** 2 + la[:, 1] ** 2 + lb[:, 0] ** 2 + lb[:, 1] ** 2
-    out = np.full(xa.shape[0], np.inf)
-    ok = den > 0.0
-    out[ok] = np.abs(e[ok]) / np.sqrt(den[ok])
-    return out
+    return _sampson_stack(Fm[None], xa, xb)[0]
 
 
-def _hartley_transform(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic normalization: centroid to origin, mean distance to sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    mean_dist = float(np.linalg.norm(centered, axis=1).mean())
-    if mean_dist == 0.0:
-        raise DegenerateGeometryError("all points coincide")
-    s = math.sqrt(2.0) / mean_dist
-    T = np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
+def _hartley_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Isotropic normalization of each set of a ``(K, n, 2)`` stack: centroid
+    to origin, mean distance to sqrt(2).
+
+    Returns the ``(K, 3, 3)`` transforms, the normalized points, and the mask
+    of sets whose points all coincide (scaled by 1 to stay finite).
+    """
+    centroid = pts.mean(axis=1)
+    centered = pts - centroid[:, None, :]
+    mean_dist = np.linalg.norm(centered, axis=2).mean(axis=1)
+    coincident = mean_dist == 0.0
+    s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
+    T = np.zeros((pts.shape[0], 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return T, centered * s[:, None, None], coincident
+
+
+def _eight_point_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eight-point fits of a ``(K, n, 2)`` stack of point-set pairs, n >= 8.
+
+    Returns the ``(K, 3, 3)`` matrices and the ``(K,)`` mask of valid fits:
+    False where either set's points coincide or the design matrix has
+    rank < 8, and the matrix is then meaningless.  Each step works per
+    matrix, so a fit does not depend on the rest of the stack.
+    """
+    K, n = pa.shape[:2]
+    T, normed, coincident = _hartley_stack(np.concatenate([pa, pb]))
+    Ta, Tb, na, nb = T[:K], T[K:], normed[:K], normed[K:]
+
+    x1, y1 = na[..., 0], na[..., 1]
+    x2, y2 = nb[..., 0], nb[..., 1]
+    A = np.stack(
+        [x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, np.ones((K, n))], axis=-1
     )
-    return T, centered * s
+    # Vt must be 9 x 9; the thin form gives the same S and Vt when n >= 9
+    _, S, Vt = np.linalg.svd(A, full_matrices=n < 9)
+    rank_deficient = (S[:, 0] == 0.0) | (S[:, 7] <= S[:, 0] * 1e-10)
+    F = Vt[:, -1].reshape(K, 3, 3)
+
+    U, s, Vt2 = np.linalg.svd(F)
+    s[:, 2] = 0.0
+    F = (U * s[:, None, :]) @ Vt2
+    F = Tb.transpose(0, 2, 1) @ F @ Ta
+    # one norm per matrix, the dot product np.linalg.norm takes; a norm over
+    # axes (1, 2) sums in another order and rounds differently
+    flat = F.reshape(K, 9)
+    F /= np.array([math.sqrt(f.dot(f)) for f in flat])[:, None, None]
+    flip = flat[np.arange(K), np.abs(flat).argmax(axis=1)] < 0
+    F[flip] = -F[flip]
+    return F, ~(coincident[:K] | coincident[K:] | rank_deficient)
 
 
 def eight_point(points_a, points_b) -> FundamentalMatrix:
@@ -134,7 +185,8 @@ def eight_point(points_a, points_b) -> FundamentalMatrix:
     sign (largest-magnitude entry positive).
 
     Raises ``ValueError`` for fewer than 8 correspondences and
-    :class:`DegenerateGeometryError` when the design matrix has rank < 8.
+    :class:`DegenerateGeometryError` when either point set coincides or the
+    design matrix has rank < 8.
     """
     pa = np.asarray(points_a, dtype=np.float64).reshape(-1, 2)
     pb = np.asarray(points_b, dtype=np.float64).reshape(-1, 2)
@@ -143,33 +195,20 @@ def eight_point(points_a, points_b) -> FundamentalMatrix:
     n = pa.shape[0]
     if n < 8:
         raise ValueError(f"need at least 8 correspondences, got {n}")
-    Ta, na = _hartley_transform(pa)
-    Tb, nb = _hartley_transform(pb)
-
-    x1, y1 = na[:, 0], na[:, 1]
-    x2, y2 = nb[:, 0], nb[:, 1]
-    A = np.column_stack(
-        [x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, np.ones(n)]
-    )
-    _, S, Vt = np.linalg.svd(A)
-    if S[0] == 0.0 or S[7] <= S[0] * 1e-10:
-        raise DegenerateGeometryError("degenerate point configuration (rank < 8)")
-    F = Vt[-1].reshape(3, 3)
-
-    U, s, Vt2 = np.linalg.svd(F)
-    s[2] = 0.0
-    F = (U * s) @ Vt2
-    F = Tb.T @ F @ Ta
-    F /= np.linalg.norm(F)
-    if F.flat[np.abs(F).argmax()] < 0:
-        F = -F
-    return FundamentalMatrix(F)
+    F, valid = _eight_point_stack(pa[None], pb[None])
+    if not valid[0]:
+        raise DegenerateGeometryError(
+            "degenerate point configuration (coincident points or rank < 8)"
+        )
+    return FundamentalMatrix(F[0])
 
 
 # fixed RANSAC settings: Sampson inlier gate in pixels and the confidence of
 # the adaptive iteration budget
 PX_THRESH = 3.0
 CONFIDENCE = 0.99
+# RANSAC solves hypotheses in blocks of 1, 2, 4, ... up to this many
+_MAX_BLOCK = 32
 
 
 def _iterations_needed(inlier_fraction: float) -> int:
@@ -192,11 +231,18 @@ def ransac_fundamental(
 ) -> VerificationResult | None:
     """RANSAC fundamental-matrix estimation over matched keypoints.
 
-    Repeatedly fits :func:`eight_point` on 8 sampled matches, keeps the model
-    with the most Sampson inliers below ``PX_THRESH`` pixels, adapts the
-    iteration budget (at most ``max_iters``) with the standard (1 - w^8)
+    Repeatedly fits the eight-point model on 8 sampled matches, keeps the
+    model with the most Sampson inliers below ``PX_THRESH`` pixels, adapts
+    the iteration budget (at most ``max_iters``) with the standard (1 - w^8)
     formula at ``CONFIDENCE``, and refits on the final consensus set (kept
-    only if it does not lose inliers).
+    only if it does not lose inliers).  A degenerate sample still counts as
+    an iteration, and only a strictly greater inlier count replaces the best.
+
+    Hypotheses are drawn and solved in growing blocks (1, 2, 4, ...), then
+    walked in draw order under those rules, so the result is identical to
+    solving them one at a time; a call whose first hypothesis meets the
+    budget solves just that one.  The last block may draw samples that the
+    budget leaves unused, so ``rng`` can end up further advanced.
 
     Returns ``None`` - failure, not a fault - when fewer than 8 matches are
     available or no model reaches ``tau`` inliers.
@@ -206,38 +252,45 @@ def ransac_fundamental(
         return None
     pa = np.asarray(a.coords, dtype=np.float64)[[mt.idx_a for mt in matches]]
     pb = np.asarray(b.coords, dtype=np.float64)[[mt.idx_b for mt in matches]]
+    xa, xb = _homogeneous(pa), _homogeneous(pb)
 
-    best_F: FundamentalMatrix | None = None
+    best_F: np.ndarray | None = None
     best_mask: np.ndarray | None = None
     best_count = 0
     budget = max_iters
     i = 0
+    block = 1
     while i < budget:
-        i += 1
-        sample = rng.choice(m, size=8, replace=False)
-        try:
-            F = eight_point(pa[sample], pb[sample])
-        except DegenerateGeometryError:
-            continue
-        mask = sampson_distance(F.m, pa, pb) < PX_THRESH
-        count = int(mask.sum())
-        if count > best_count:
-            best_F, best_mask, best_count = F, mask, count
-            budget = min(max_iters, _iterations_needed(count / m))
+        samples = np.stack(
+            [rng.choice(m, size=8, replace=False) for _ in range(min(block, budget - i))]
+        )
+        block = min(2 * block, _MAX_BLOCK)
+        Fs, valid = _eight_point_stack(pa[samples], pb[samples])
+        masks = _sampson_stack(Fs, xa, xb) < PX_THRESH
+        counts = masks.sum(axis=1)
+        for j in range(len(samples)):
+            i += 1
+            if valid[j] and counts[j] > best_count:
+                best_F, best_mask, best_count = Fs[j], masks[j], int(counts[j])
+                budget = min(max_iters, _iterations_needed(best_count / m))
+            if i >= budget:
+                break
     if best_F is None:
         return None
 
     if best_count >= 8:
         try:
-            F2 = eight_point(pa[best_mask], pb[best_mask])
+            F2 = eight_point(pa[best_mask], pb[best_mask]).m
         except DegenerateGeometryError:
             pass
         else:
-            mask2 = sampson_distance(F2.m, pa, pb) < PX_THRESH
+            mask2 = _sampson_stack(F2[None], xa, xb)[0] < PX_THRESH
             count2 = int(mask2.sum())
             if count2 >= best_count:
                 best_F, best_mask, best_count = F2, mask2, count2
 
     if best_count < tau:
         return None
-    return VerificationResult(best_F, tuple(np.nonzero(best_mask)[0].tolist()))
+    return VerificationResult(
+        FundamentalMatrix(best_F), tuple(np.nonzero(best_mask)[0].tolist())
+    )

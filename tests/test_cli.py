@@ -135,6 +135,53 @@ class TestDetect:
         assert "s_g=0.5" in tokens and "s_l=1.4" in tokens
 
 
+class TestInvariantViolation:
+    """A violated internal invariant ends the run with exit 3 and one line."""
+
+    @pytest.fixture
+    def near_matches(self, monkeypatch):
+        # every verified frame "matches" the frame just before it, so the
+        # temporal filter fires inside the exclusion zone
+        from loopdet import FundamentalMatrix, VerificationResult
+        from loopdet.pipeline import LoopClosurePipeline
+
+        def verify(self, query_locals, candidates, stages=None):
+            result = VerificationResult(FundamentalMatrix(np.eye(3)), tuple(range(20)))
+            return query_locals.frame_id - 1, result, 1.0
+
+        monkeypatch.setattr(LoopClosurePipeline, "verify_candidates", verify)
+
+    def errors(self, capsys):
+        return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
+
+    def test_exclusion_zone_violation_exits_3_without_output(
+        self, synth_paths, tmp_path, capsys, near_matches
+    ):
+        feats, gt = synth_paths
+        capsys.readouterr()
+        for argv in (["detect", "--features", feats], ["eval", "--features", feats, "--gt", gt]):
+            out = tmp_path / "out.csv"
+            assert run(argv + ["--out", out] + DETECT_FLAGS) == 3
+            assert not out.exists()
+            errors = self.errors(capsys)
+            assert len(errors) == 1
+            assert errors[0].startswith("error: internal invariant violated: exclusion-zone")
+
+    def test_index_audit_error_exits_3(self, synth_paths, tmp_path, capsys, monkeypatch):
+        from loopdet import HnswIndex, IndexAuditError
+
+        def insert(self, frame_id, values):
+            raise IndexAuditError(f"node {frame_id} links to itself")
+
+        monkeypatch.setattr(HnswIndex, "insert", insert)
+        feats, _ = synth_paths
+        out = tmp_path / "det.csv"
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--out", out] + DETECT_FLAGS) == 3
+        assert not out.exists()
+        assert self.errors(capsys) == ["error: internal invariant violated: node 0 links to itself"]
+
+
 class TestEval:
     def test_pr_csv_and_summary(self, synth_paths, tmp_path, capsys):
         feats, gt = synth_paths

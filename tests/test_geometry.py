@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import loopdet.geometry as geometry
 from loopdet import (
     DegenerateGeometryError,
     EpipolarScene,
@@ -20,6 +23,221 @@ def descriptor_set(descriptors, frame_id=0, coords=None):
     n = len(descriptors)
     coords = coords if coords is not None else np.zeros((n, 2))
     return LocalFeatureSet(frame_id, coords, np.ones(n), np.asarray(descriptors, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the one-at-a-time implementation that the two-pass ratio test and
+# the block-batched RANSAC replaced.  The fast code must match them bit for
+# bit, on whatever numpy and LAPACK build runs the suite.
+# ---------------------------------------------------------------------------
+
+
+def oracle_match(a, b, epsilon):
+    """Ratio test by a stable sort of every row of the distance matrix."""
+    if len(a) == 0 or len(b) < 2:
+        return []
+    A = np.asarray(a.descriptors, dtype=np.float64)
+    B = np.asarray(b.descriptors, dtype=np.float64)
+    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    np.maximum(d2, 0.0, out=d2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :2]
+    rows = np.arange(A.shape[0])
+    d1 = np.sqrt(d2[rows, order[:, 0]])
+    dn2 = np.sqrt(d2[rows, order[:, 1]])
+    accepted = d1 < epsilon * dn2
+    return [Match(int(i), int(order[i, 0]), float(d1[i])) for i in np.nonzero(accepted)[0]]
+
+
+def oracle_sampson(F, pa, pb):
+    xa = np.hstack([pa, np.ones((pa.shape[0], 1))])
+    xb = np.hstack([pb, np.ones((pb.shape[0], 1))])
+    la = xa @ F.T
+    lb = xb @ F
+    e = np.einsum("ij,ij->i", xb, la)
+    den = la[:, 0] ** 2 + la[:, 1] ** 2 + lb[:, 0] ** 2 + lb[:, 1] ** 2
+    out = np.full(xa.shape[0], np.inf)
+    ok = den > 0.0
+    out[ok] = np.abs(e[ok]) / np.sqrt(den[ok])
+    return out
+
+
+def oracle_hartley(pts):
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    mean_dist = float(np.linalg.norm(centered, axis=1).mean())
+    if mean_dist == 0.0:
+        raise DegenerateGeometryError("all points coincide")
+    s = math.sqrt(2.0) / mean_dist
+    T = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+    return T, centered * s
+
+
+def oracle_eight_point(pa, pb):
+    """One 3x3 matrix per call, with a full SVD of the design matrix."""
+    Ta, na = oracle_hartley(pa)
+    Tb, nb = oracle_hartley(pb)
+    x1, y1 = na[:, 0], na[:, 1]
+    x2, y2 = nb[:, 0], nb[:, 1]
+    A = np.column_stack([x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, np.ones(len(pa))])
+    _, S, Vt = np.linalg.svd(A)
+    if S[0] == 0.0 or S[7] <= S[0] * 1e-10:
+        raise DegenerateGeometryError("degenerate point configuration (rank < 8)")
+    F = Vt[-1].reshape(3, 3)
+    U, s, Vt2 = np.linalg.svd(F)
+    s[2] = 0.0
+    F = Tb.T @ ((U * s) @ Vt2) @ Ta
+    F /= np.linalg.norm(F)
+    return -F if F.flat[np.abs(F).argmax()] < 0 else F
+
+
+def oracle_ransac(matches, a, b, tau, rng, max_iters=500):
+    """Sequential RANSAC: one draw, one solve and one score per iteration."""
+    m = len(matches)
+    if m < 8:
+        return None
+    pa = np.asarray(a.coords, dtype=np.float64)[[mt.idx_a for mt in matches]]
+    pb = np.asarray(b.coords, dtype=np.float64)[[mt.idx_b for mt in matches]]
+    best_F, best_mask, best_count = None, None, 0
+    budget, i = max_iters, 0
+    while i < budget:
+        i += 1
+        sample = rng.choice(m, size=8, replace=False)
+        try:
+            F = oracle_eight_point(pa[sample], pb[sample])
+        except DegenerateGeometryError:
+            continue
+        mask = oracle_sampson(F, pa, pb) < geometry.PX_THRESH
+        count = int(mask.sum())
+        if count > best_count:
+            best_F, best_mask, best_count = F, mask, count
+            budget = min(max_iters, geometry._iterations_needed(count / m))
+    if best_F is None:
+        return None
+    if best_count >= 8:
+        try:
+            F2 = oracle_eight_point(pa[best_mask], pb[best_mask])
+        except DegenerateGeometryError:
+            pass
+        else:
+            mask2 = oracle_sampson(F2, pa, pb) < geometry.PX_THRESH
+            if int(mask2.sum()) >= best_count:
+                best_F, best_mask, best_count = F2, mask2, int(mask2.sum())
+    if best_count < tau:
+        return None
+    return best_F, tuple(np.nonzero(best_mask)[0].tolist())
+
+
+def match_set(m, inlier_frac, seed, duplicate):
+    """``planted_matches`` at 1 px noise, so that inlier counts vary between
+    hypotheses; with ``duplicate`` the first half shares one coordinate pair,
+    so that many samples are degenerate."""
+    a, b, matches, _, _ = planted_matches(
+        seed=seed, n_matches=m, inlier_frac=inlier_frac, sigma_px=1.0
+    )
+    if duplicate:
+        for s in (a, b):
+            s.coords[: m // 2] = s.coords[0]
+    return a, b, matches
+
+
+class TestBitIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.5, 0.7, 0.95, 1.0, 1.5]),
+        st.booleans(),
+    )
+    @example(5, 6, 3, 0, 0.7, True)
+    def test_matches_equal_argsort_oracle(self, na, nb, dim, seed, epsilon, duplicate):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((nb, dim))
+        if duplicate:
+            # rows come in equal pairs (tying both minima) and some query rows
+            # sit exactly on them, at distance zero
+            B[1::2] = B[0::2][: nb // 2]
+        A = rng.standard_normal((na, dim))
+        if duplicate:
+            A[::2] = B[rng.integers(0, nb, len(A[::2]))]
+        a, b = descriptor_set(A), descriptor_set(B, 1)
+        assert brute_force_match(a, b, epsilon) == oracle_match(a, b, epsilon)
+
+    def test_ties_go_to_the_lowest_index(self):
+        b = descriptor_set([[0.0], [1.0], [1.0], [3.0], [3.0]])
+        a = descriptor_set([[1.0], [0.1], [1.1], [2.0]])
+        # a0 sits on the equal pair b1 = b2 and a2 next to it; a3 is equally
+        # far from b1 to b4; a1's nearest is b0 and its second minima tie
+        for eps in (0.7, 1.5):
+            assert brute_force_match(a, b, eps) == oracle_match(a, b, eps)
+        assert [(m.idx_a, m.idx_b) for m in brute_force_match(a, b, 0.7)] == [(1, 0)]
+        matches = brute_force_match(a, b, 1.5)
+        assert [(m.idx_a, m.idx_b) for m in matches] == [(1, 0), (2, 1), (3, 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=8, max_value=300),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @example(8, 0, True)  # all eight points coincide
+    @example(9, 3, True)
+    def test_eight_point_equals_oracle(self, n, seed, duplicate):
+        rng = np.random.default_rng(seed)
+        pa = rng.uniform(0, [1280, 960], (n, 2))
+        pb = rng.uniform(0, [1280, 960], (n, 2))
+        if duplicate:
+            pa[: max(n // 2, 8)] = pa[0]
+            pb[: max(n // 2, 8)] = pb[0]
+        try:
+            expected = oracle_eight_point(pa, pb)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                eight_point(pa, pb)
+        else:
+            assert np.array_equal(eight_point(pa, pb).m, expected)
+            assert np.array_equal(sampson_distance(expected, pa, pb),
+                                  oracle_sampson(expected, pa, pb))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=8, max_value=300),
+        st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @example(10, 0.7, 0, True)  # every sample holds coincident points: all degenerate
+    @example(40, 1.0, 1, True)  # degenerate samples among valid ones
+    @example(60, 0.3, 2, True)
+    @example(300, 0.0, 3, False)  # the full budget
+    @example(30, 1.0, 8, False)  # the budget ends inside a block that holds
+    @example(150, 0.7, 25, False)  # a later hypothesis with more inliers
+    def test_ransac_equals_sequential_oracle(self, m, inlier_frac, seed, duplicate):
+        a, b, matches = match_set(m, inlier_frac, seed, duplicate)
+        result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(seed))
+        expected = oracle_ransac(matches, a, b, 12, np.random.default_rng(seed))
+        if expected is None:
+            assert result is None
+        else:
+            assert result.inlier_indices == expected[1]
+            assert np.array_equal(result.matrix.m, expected[0])
+
+    def test_early_exit_solves_one_hypothesis(self, monkeypatch):
+        # a noiseless set reaches consensus on its first hypothesis; the only
+        # other solve is the refit on all 50 matches
+        solves = []
+        stack = geometry._eight_point_stack
+
+        def counted(pa, pb):
+            solves.append(pa.shape[:2])
+            return stack(pa, pb)
+
+        monkeypatch.setattr(geometry, "_eight_point_stack", counted)
+        a, b, matches, _, _ = planted_matches(seed=0, n_matches=50, inlier_frac=1.0)
+        result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(1))
+        assert result.inlier_count == 50
+        assert solves == [(1, 8), (1, 50)]
 
 
 class TestBruteForceMatch:
