@@ -102,21 +102,29 @@ def _keep_diverse(
     ``base_dists[i]``).  With ``backfill`` the nearest discarded candidates
     top the result up to ``m``.
     """
+    # close[i, k]: candidate i is no closer to the base element than to k.
+    # The distances are compared in pair's dtype, as a Python float would be.
+    close = pair <= np.asarray(base_dists, dtype=pair.dtype)[:, None]
+    blocked = np.zeros(len(base_dists), dtype=bool)
     kept: list[int] = []
-    discarded: list[int] = []
-    for i, d in enumerate(base_dists):
+    for i in range(len(base_dists)):
         if len(kept) == m:
             break
-        if kept and (pair[i, kept] <= d).any():
-            discarded.append(i)
-            continue
-        kept.append(i)
-    if backfill:
-        for i in discarded:
-            if len(kept) == m:
-                break
+        if not blocked[i]:
             kept.append(i)
+            blocked |= close[:, i]
+    if backfill and len(kept) < m:
+        # every candidate was examined, so the discarded ones are the rest
+        taken = set(kept)
+        kept += [i for i in range(len(base_dists)) if i not in taken][: m - len(kept)]
     return kept
+
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """``a`` with twice its rows; the new rows are zero."""
+    grown = np.zeros((2 * a.shape[0],) + a.shape[1:], dtype=a.dtype)
+    grown[: a.shape[0]] = a
+    return grown
 
 
 class HnswIndex:
@@ -137,8 +145,13 @@ class HnswIndex:
         self._ids: list[int] = []
         self._id_to_idx: dict[int, int] = {}
         self._levels: list[int] = []
-        # _links[idx][layer] -> int64 array of neighbor idxs, layers 0..level
-        self._links: list[list[np.ndarray]] = []
+        # Links, one fixed-width row per node on each of its layers 0..level:
+        # _adj[layer][r, :_deg[layer][r]] are row r's neighbor idxs.  Node idx
+        # is row idx on layer 0 and row _rows[layer][idx] above it; upper-layer
+        # rows follow insertion order.  Rows grow by doubling, like _vectors.
+        self._adj = [np.zeros((256, self.params.M0), dtype=np.int64)]
+        self._deg = [np.zeros(256, dtype=np.int64)]
+        self._rows: list[dict[int, int]] = [{}]  # _rows[0] stays empty
         self._entry: int | None = None
         self._max_level = -1
 
@@ -163,16 +176,32 @@ class HnswIndex:
     def _append_node(self, frame_id: int, vec32: np.ndarray, level: int) -> int:
         idx = len(self._ids)
         if idx == self._vectors.shape[0]:
-            grown = np.zeros((max(idx * 2, 256), self._dim), dtype=np.float32)
-            grown[:idx] = self._vectors
-            self._vectors = grown
+            self._vectors = _doubled(self._vectors)
+            self._adj[0] = _doubled(self._adj[0])
+            self._deg[0] = _doubled(self._deg[0])
         self._vectors[idx] = vec32
         self._ids.append(frame_id)
         self._id_to_idx[frame_id] = idx
         self._levels.append(level)
-        empty = np.zeros(0, dtype=np.int64)
-        self._links.append([empty] * (level + 1))
+        for layer in range(1, level + 1):
+            if layer == len(self._adj):
+                self._adj.append(np.zeros((16, self.params.M), dtype=np.int64))
+                self._deg.append(np.zeros(16, dtype=np.int64))
+                self._rows.append({})
+            rows = self._rows[layer]
+            if len(rows) == self._adj[layer].shape[0]:
+                self._adj[layer] = _doubled(self._adj[layer])
+                self._deg[layer] = _doubled(self._deg[layer])
+            rows[idx] = len(rows)
         return idx
+
+    def _row(self, idx: int, layer: int) -> int:
+        return self._rows[layer][idx] if layer else idx
+
+    def _neighbors(self, idx: int, layer: int) -> np.ndarray:
+        """Node ``idx``'s neighbor idxs on ``layer``: a view into its row."""
+        r = self._row(idx, layer)
+        return self._adj[layer][r, : self._deg[layer][r]]
 
     def _unit(self, values) -> np.ndarray:
         """The float64 unit vector of one descriptor of the index dimension."""
@@ -206,24 +235,36 @@ class HnswIndex:
             candidates = self._search_layer(q, ep, layer, ef)
             ep = [i for _, i in candidates]
             chosen = self._select(ep, [d for d, _ in candidates], self.params.M, backfill=True)
-            self._links[idx][layer] = np.array(chosen, dtype=np.int64)
-            cap = self.params.M0 if layer == 0 else self.params.M
-            for j in chosen:
-                arr = self._links[j][layer]
-                if arr.shape[0] < cap:
-                    self._links[j][layer] = np.append(arr, idx)
-                    continue
-                # re-select j's links without backfill: leaving headroom below
-                # the cap avoids re-pruning on every later backlink
-                cand = np.append(arr, idx)
-                dists = 1.0 - self._vectors[cand] @ self._vectors[j]
-                order = np.lexsort((cand, dists))
-                kept = self._select(cand[order], dists[order].tolist(), cap, backfill=False)
-                self._links[j][layer] = np.array(kept, dtype=np.int64)
+            self._link(idx, layer, np.array(chosen, dtype=np.int64))
 
         if level > self._max_level:
             self._entry = idx
             self._max_level = level
+
+    def _link(self, idx: int, layer: int, chosen: np.ndarray) -> None:
+        """Give node ``idx`` the links ``chosen`` on ``layer``, and each of
+        them a backlink to ``idx``."""
+        adj, deg = self._adj[layer], self._deg[layer]
+        cap = adj.shape[1]
+        r = self._row(idx, layer)
+        adj[r, : chosen.shape[0]] = chosen
+        deg[r] = chosen.shape[0]
+        rows = chosen if layer == 0 else np.array([self._rows[layer][j] for j in chosen.tolist()])
+        # one row per neighbor, so the appends and the re-selections below
+        # touch disjoint rows and may run in either order
+        d = deg[rows]
+        room = d < cap
+        adj[rows[room], d[room]] = idx
+        deg[rows[room]] += 1
+        for j, rj in zip(chosen[~room].tolist(), rows[~room].tolist()):
+            # re-select j's links without backfill: leaving headroom below
+            # the cap avoids re-pruning on every later backlink
+            cand = np.concatenate((adj[rj], [idx]))
+            dists = 1.0 - self._vectors[cand] @ self._vectors[j]
+            order = np.lexsort((cand, dists))
+            kept = self._select(cand[order], dists[order].tolist(), cap, backfill=False)
+            adj[rj, : len(kept)] = kept
+            deg[rj] = len(kept)
 
     def _select(self, ids, dists: list[float], m: int, *, backfill: bool) -> list[int]:
         """The one neighbor-selection routine: up to ``m`` of ``ids`` by :func:`_keep_diverse`.
@@ -253,11 +294,13 @@ class HnswIndex:
         while len(results) > ef:
             heappop(results)
 
+        adj, deg, rows = self._adj[layer], self._deg[layer], self._rows[layer]
         while candidates:
             d, c = heappop(candidates)
             if d > -results[0][0] and len(results) >= ef:
                 break
-            nbrs = self._links[c][layer]
+            r = rows[c] if layer else c  # _row inlined: this runs per expanded node
+            nbrs = adj[r, : deg[r]]
             if nbrs.shape[0] == 0:
                 continue
             fresh = nbrs[~visited[nbrs]]
@@ -314,6 +357,15 @@ class HnswIndex:
 
     # -- integrity ----------------------------------------------------------------
 
+    def _layer_links(self, layer: int, levels: np.ndarray):
+        """One layer's nodes in row order with their degrees, and its links in
+        row order, each with its owner node and its position in the row."""
+        nodes = np.flatnonzero(levels >= layer)
+        counts = self._deg[layer][: nodes.shape[0]]
+        adj = self._adj[layer][: nodes.shape[0]]
+        row, pos = np.nonzero(np.arange(adj.shape[1]) < counts[:, None])
+        return nodes, counts, nodes[row], pos, adj[row, pos]
+
     def audit(self) -> None:
         """Verify structural invariants; raises :class:`IndexAuditError`.
 
@@ -327,34 +379,65 @@ class HnswIndex:
             return
         if self._entry is None:
             raise IndexAuditError("non-empty index without entry point")
-        if self._levels[self._entry] != max(self._levels):
+        levels = np.array(self._levels)
+        if levels[self._entry] != levels.max():
             raise IndexAuditError("entry point is not on the globally maximal layer")
-        for idx in range(n):
-            level = self._levels[idx]
-            if len(self._links[idx]) != level + 1:
-                raise IndexAuditError(f"node {idx} lacks adjacency for layers 0..{level}")
-            for layer, nbrs in enumerate(self._links[idx]):
-                cap = self.params.M0 if layer == 0 else self.params.M
-                if nbrs.shape[0] > cap:
-                    raise IndexAuditError(
-                        f"node {idx} exceeds degree cap on layer {layer}: "
-                        f"{nbrs.shape[0]} > {cap}"
-                    )
-                for j in nbrs.tolist():
-                    if not 0 <= j < n:
-                        raise IndexAuditError(f"node {idx} links to missing node {j}")
-                    if j == idx:
-                        raise IndexAuditError(f"node {idx} links to itself")
-                    if self._levels[j] < layer:
-                        raise IndexAuditError(
-                            f"node {idx} links to node {j} above its top layer"
-                        )
+        if levels.max() >= len(self._adj):
+            idx = int(np.argmax(levels))
+            raise IndexAuditError(f"node {idx} lacks adjacency for layers 0..{levels[idx]}")
+        for layer in range(len(self._adj)):
+            nodes, counts, owners, _, links = self._layer_links(layer, levels)
+            rows = self._rows[layer]
+            if layer and list(rows.items()) != list(zip(nodes.tolist(), range(len(nodes)))):
+                raise IndexAuditError(f"layer {layer} rows do not list the nodes on it")
+            cap = self._adj[layer].shape[1]
+            over = np.flatnonzero(counts > cap)
+            if over.size:
+                i = over[0]
+                raise IndexAuditError(
+                    f"node {nodes[i]} exceeds degree cap on layer {layer}: {counts[i]} > {cap}"
+                )
+            bad = np.flatnonzero((links < 0) | (links >= n))
+            if bad.size:
+                k = bad[0]
+                raise IndexAuditError(f"node {owners[k]} links to missing node {links[k]}")
+            bad = np.flatnonzero(links == owners)
+            if bad.size:
+                raise IndexAuditError(f"node {owners[bad[0]]} links to itself")
+            bad = np.flatnonzero(levels[links] < layer)
+            if bad.size:
+                k = bad[0]
+                raise IndexAuditError(
+                    f"node {owners[k]} links to node {links[k]} above its top layer"
+                )
 
     # -- snapshot -----------------------------------------------------------------
 
     def save(self, path) -> None:
         """Write a binary snapshot (little-endian) restorable by :meth:`load`."""
         p = self.params
+        n = len(self._ids)
+        ids = np.array(self._ids, dtype=np.uint64)
+        levels = np.array(self._levels, dtype=np.int64)
+        table = np.empty(n, dtype=_node_dtype(self._dim))
+        table["id"], table["level"], table["vec"] = ids, levels, self._vectors[:n]
+
+        # one record per node and layer, node-major: a u32 degree, then its
+        # links as u64 frame ids; laid out here as little-endian u32 words
+        first = np.cumsum(levels + 1) - (levels + 1)  # record of (node, layer 0)
+        degrees = np.zeros(int((levels + 1).sum()), dtype=np.int64)
+        per_layer = [self._layer_links(layer, levels) for layer in range(len(self._adj))]
+        for layer, (nodes, counts, _, _, _) in enumerate(per_layer):
+            degrees[first[nodes] + layer] = counts
+        sizes = 1 + 2 * degrees
+        start = np.cumsum(sizes) - sizes
+        words = np.empty(int(sizes.sum()), dtype="<u4")
+        words[start] = degrees
+        for layer, (_, _, owners, pos, links) in enumerate(per_layer):
+            at = start[first[owners] + layer] + 1 + 2 * pos
+            words[at] = ids[links] & 0xFFFFFFFF
+            words[at + 1] = ids[links] >> 32
+
         with open(path, "wb") as f:
             f.write(INDEX_MAGIC)
             f.write(
@@ -368,20 +451,13 @@ class HnswIndex:
                     p.level_lambda,
                     p.rng_seed,
                     self._dim,
-                    len(self._ids),
+                    n,
                 )
             )
             entry_id = self._ids[self._entry] if self._entry is not None else 2**64 - 1
             f.write(struct.pack("<Q", entry_id))
-            for idx, fid in enumerate(self._ids):
-                f.write(struct.pack("<QB", fid, self._levels[idx]))
-                f.write(self._vectors[idx].astype("<f4").tobytes())
-            for idx in range(len(self._ids)):
-                for nbrs in self._links[idx]:
-                    ids = [self._ids[j] for j in nbrs.tolist()]
-                    f.write(struct.pack("<I", len(ids)))
-                    if ids:
-                        f.write(struct.pack(f"<{len(ids)}Q", *ids))
+            f.write(table.tobytes())
+            f.write(words.tobytes())
 
     @classmethod
     def load(cls, path) -> "HnswIndex":
@@ -408,29 +484,65 @@ class HnswIndex:
                     f"snapshot header M0={M0} level_lambda={lam!r} do not match "
                     f"M={M} (expected {params.M0} and {params.level_lambda!r})"
                 )
-            index = cls(dim, params)
-            for k in range(count):
-                fid, level = struct.unpack("<QB", read(f, 9, f"node {k} header"))
-                vec = np.frombuffer(read(f, 4 * dim, f"node {k} descriptor"), dtype="<f4")
-                index._append_node(fid, vec.copy(), level)
-            for idx in range(count):
-                layers = []
-                for layer in range(index._levels[idx] + 1):
-                    (degree,) = struct.unpack(
-                        "<I", read(f, 4, f"node {idx} layer {layer} degree")
+            payload = f.read()
+
+        index = cls(dim, params)
+        node_dtype = _node_dtype(dim)
+        if len(payload) < count * node_dtype.itemsize:
+            raise ValueError("truncated index snapshot while reading the node table")
+        table = np.frombuffer(payload, dtype=node_dtype, count=count)
+        for fid, level, vec in zip(
+            table["id"].tolist(), table["level"].tolist(), table["vec"].astype(np.float32)
+        ):
+            if fid in index._id_to_idx:
+                raise ValueError(f"snapshot names frame {fid} twice")
+            index._append_node(fid, vec, level)
+
+        # walk the variable-length link records, one per node and layer
+        records, fids = [], []
+        at = count * node_dtype.itemsize
+        for idx, level in enumerate(index._levels):
+            for layer in range(level + 1):
+                if at + 4 > len(payload):
+                    raise ValueError(
+                        f"truncated index snapshot while reading node {idx} layer {layer} degree"
                     )
-                    ids = struct.unpack(
-                        f"<{degree}Q", read(f, 8 * degree, f"node {idx} layer {layer} links")
+                (degree,) = struct.unpack_from("<I", payload, at)
+                at += 4
+                if at + 8 * degree > len(payload):
+                    raise ValueError(
+                        f"truncated index snapshot while reading node {idx} layer {layer} links"
                     )
-                    try:
-                        layers.append(
-                            np.array([index._id_to_idx[i] for i in ids], dtype=np.int64)
-                        )
-                    except KeyError as exc:
-                        raise ValueError(f"snapshot links reference unknown frame {exc}")
-                index._links[idx] = layers
-            if f.read(1):
-                raise ValueError("trailing bytes after index snapshot payload")
+                cap = params.M0 if layer == 0 else params.M
+                if degree > cap:
+                    raise IndexAuditError(
+                        f"node {idx} exceeds degree cap on layer {layer}: {degree} > {cap}"
+                    )
+                records.append((layer, degree))
+                fids.append(np.frombuffer(payload, dtype="<u8", count=degree, offset=at))
+                at += 8 * degree
+        if at != len(payload):
+            raise ValueError("trailing bytes after index snapshot payload")
+
+        if records:
+            fids = np.concatenate(fids)
+            known = np.array(index._ids, dtype=np.uint64)
+            order = np.argsort(known)
+            slot = np.minimum(np.searchsorted(known[order], fids), count - 1)
+            unknown = known[order][slot] != fids
+            if unknown.any():
+                raise ValueError(
+                    f"snapshot links reference unknown frame {fids[np.argmax(unknown)]}"
+                )
+            links = order[slot]
+            rec_layer, rec_degree = np.array(records, dtype=np.int64).T
+            link_layer = np.repeat(rec_layer, rec_degree)
+            for layer in range(len(index._adj)):
+                # a layer's records come in node order, which is its row order
+                counts = rec_degree[rec_layer == layer]
+                index._deg[layer][: counts.shape[0]] = counts
+                row, pos = np.nonzero(np.arange(index._adj[layer].shape[1]) < counts[:, None])
+                index._adj[layer][row, pos] = links[link_layer == layer]
 
         if count:
             index._max_level = max(index._levels)
@@ -441,3 +553,8 @@ class HnswIndex:
         index._rng.random(count)
         index.audit()
         return index
+
+
+def _node_dtype(dim: int) -> np.dtype:
+    """One node of a snapshot's node table: frame id, top layer, descriptor."""
+    return np.dtype([("id", "<u8"), ("level", "u1"), ("vec", "<f4", (dim,))])
