@@ -1,11 +1,13 @@
 """Command-line surface: detect, eval, synth, bench, pca-fit.
 
-Configuration precedence is defaults < config file (flat ``key=value``
-lines) < command-line flags.  Every run echoes the fully resolved parameter
-set to standard error.  Exit codes: 0 success, 1 semantic failure during
-detection/evaluation, 2 usage or file errors, 3 an internal invariant
-violated (a ``RuntimeError`` such as the exclusion-zone check or
-``IndexAuditError``); each failure prints one ``error:`` line.
+Each subcommand takes the :class:`RunConfig` knobs it reads, plus flags of
+its own.  Configuration precedence is defaults < config file (flat
+``key=value`` lines; any knob's key loads, each subcommand reads its own) <
+command-line flags.  Every run echoes the fully resolved parameter set, its
+knobs and its own flags, to standard error.  Exit codes: 0 success, 1
+semantic failure during detection/evaluation, 2 usage or file errors, 3 an
+internal invariant violated (a ``RuntimeError`` such as the exclusion-zone
+check or ``IndexAuditError``); each failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from . import evaluation
 from .container import (
     ContainerError,
+    ContainerHeader,
     atomic_output,
     read_features,
     read_header,
@@ -30,6 +33,7 @@ from .container import (
 )
 from .descriptors import fit_pca, load_pca_model, save_pca_model
 from .evaluation import (
+    GroundTruth,
     RevisitSegment,
     SynthConfig,
     generate_synthetic,
@@ -41,7 +45,7 @@ from .evaluation import (
     write_timing_csv,
 )
 from .hnsw import HnswIndex, HnswParams
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, collect_frame_records, run_pipeline
 
 LOG_ENV = "FILDPP_LOG"
 logger = logging.getLogger("loopdet")
@@ -60,36 +64,57 @@ def _parse_tau_range(raw: str) -> tuple[int, int, int]:
     return lo, hi, step
 
 
-def _knob(default, parse, doc: str):
-    """A RunConfig field: its default, the parser of its text form, its flag help."""
-    return field(default=default, metadata={"parse": parse, "help": doc})
+def _ints(raw: str, sep: str = ",") -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in raw.split(sep))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {raw!r}") from None
+
+
+def _segments(raw: str) -> tuple[tuple[int, ...], ...]:
+    """``origin:revisit:length[,...]``; the generator checks that each fits."""
+    segments = tuple(_ints(part, ":") for part in raw.split(",") if part)
+    if any(len(s) != 3 for s in segments):
+        raise argparse.ArgumentTypeError(f"expected origin:revisit:length[,...], got {raw!r}")
+    return segments
+
+
+def _knob(default, parse, doc: str, commands: str):
+    """A RunConfig field: default, text-form parser, flag help, readers."""
+    return field(default=default, metadata={"parse": parse, "help": doc, "commands": commands})
+
+
+_PIPE = "detect eval bench"  # the subcommands that run the pipeline
+_STREAM = _PIPE + " synth"  # and the one that generates a stream
 
 
 @dataclass
 class RunConfig:
     """The one list of run knobs: each field is a ``--flag`` (underscores
-    become dashes) and a config-file key, and serializes to ``key=value``
-    text, round-trip stable."""
+    become dashes) of the subcommands that read it and a config-file key, and
+    serializes to ``key=value`` text, round-trip stable."""
 
-    psi: float = _knob(40.0, float, "search-area time constant, seconds")
+    psi: float = _knob(40.0, float, "search-area time constant, seconds", _STREAM)
     phi: float | None = _knob(None, float, "camera frame rate, frames/second "
-                                           "(default: the container header)")
-    n: int = _knob(5, int, "retrieval candidates per query")
-    epsilon: float = _knob(0.7, float, "distance-ratio threshold")
-    beta: int = _knob(2, int, "consecutive frames for temporal consistency")
-    tau: int = _knob(12, int, "inlier acceptance threshold")
-    delta: float = _knob(15.0, float, "attention-score threshold")
-    M: int = _knob(48, int, "graph degree cap per layer")
-    ef_construction: int = _knob(40, int, "graph construction beam width")
-    ef_search: int = _knob(40, int, "graph search beam width")
-    seed: int = _knob(0, int, "base random seed")
-    gt_window: int = _knob(10, int, "frame tolerance when matching detections to labels")
+                                           "(default: the container header)", _STREAM)
+    n: int = _knob(5, int, "retrieval candidates per query", _PIPE)
+    epsilon: float = _knob(0.7, float, "distance-ratio threshold", _PIPE)
+    beta: int = _knob(2, int, "consecutive frames for temporal consistency", _PIPE)
+    # eval runs once at tau=0 and replays every tau of its tau_range
+    tau: int = _knob(12, int, "inlier acceptance threshold", "detect bench")
+    delta: float = _knob(15.0, float, "attention-score threshold", _PIPE)
+    M: int = _knob(48, int, "graph degree cap per layer", _PIPE)
+    ef_construction: int = _knob(40, int, "graph construction beam width", _PIPE)
+    ef_search: int = _knob(40, int, "graph search beam width", _PIPE)
+    seed: int = _knob(0, int, "base random seed", _STREAM)
+    gt_window: int = _knob(10, int, "frame tolerance when matching detections to labels",
+                           "eval bench")
     tau_range: tuple[int, int, int] = _knob(
-        (0, 40, 1), _parse_tau_range, "inlier threshold sweep as lo:hi[:step]"
+        (0, 40, 1), _parse_tau_range, "inlier threshold sweep as lo:hi[:step]", "eval bench"
     )
-    features: str | None = _knob(None, str, "input feature container (FFTC)")
-    gt: str | None = _knob(None, str, "ground-truth CSV path")
-    out: str | None = _knob(None, str, "primary output path")
+    features: str | None = _knob(None, str, "input feature container (FFTC)", "detect eval pca-fit")
+    gt: str | None = _knob(None, str, "ground-truth CSV path", "eval synth")
+    out: str | None = _knob(None, str, "primary output path", _STREAM + " pca-fit")
 
     def items(self) -> list[tuple[str, str]]:
         """Set knobs as (key, text) pairs; the text parses back to the value."""
@@ -120,6 +145,23 @@ class RunConfig:
         return cls(**values)
 
 
+def _knobs(command: str) -> dict[str, dataclasses.Field]:
+    """The RunConfig fields ``command`` reads, in field order."""
+    return {f.name: f for f in dataclasses.fields(RunConfig)
+            if command in f.metadata["commands"].split()}
+
+
+# argparse destinations that are not a subcommand's own flags
+_NOT_OWN = {"command", "func", "config", *(f.name for f in dataclasses.fields(RunConfig))}
+
+
+def _text(value) -> str:
+    """An own flag's value in the text form that flag parses back."""
+    if isinstance(value, tuple):
+        return ",".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
+    return str(value)
+
+
 def _taus(cfg: RunConfig) -> list[int]:
     lo, hi, step = cfg.tau_range
     return list(range(lo, hi + 1, step))
@@ -136,28 +178,31 @@ def _pipeline_config(cfg: RunConfig, phi: float) -> PipelineConfig:
     return PipelineConfig(**pick(PipelineConfig), hnsw=HnswParams(**pick(HnswParams)))
 
 
-def _echo_config(cfg: RunConfig, phi: float, header=None) -> None:
-    """Print every set knob, with ``phi`` resolved, and the container header's
-    f32 image scales at f32 precision."""
-    resolved = dataclasses.replace(cfg, phi=phi).items()
-    if header is not None:
-        resolved += [(k, str(np.float32(getattr(header, k)))) for k in ("s_g", "s_l")]
-    print(
-        "resolved config: " + " ".join(f"{k}={v}" for k, v in resolved),
-        file=sys.stderr,
-    )
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> tuple[RunConfig, float, ContainerHeader | None]:
+    """Every subcommand's start-up: resolve the knobs it reads, read the
+    container header if it reads ``features``, default ``phi`` to the
+    header's (else 10), and echo the knobs, the header's f32 image scales at
+    f32 precision and the subcommand's own flags."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             cfg = RunConfig.from_text(f.read())
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+    knobs = _knobs(args.command)
+    for name in knobs:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
+    header = None
+    if "features" in knobs:
+        header = read_header(_require(cfg.features, "feature file (--features)"))
+    phi = cfg.phi if cfg.phi is not None else header.phi if header else 10.0
+    resolved = [(k, v) for k, v in dataclasses.replace(cfg, phi=phi).items() if k in knobs]
+    if header is not None:
+        resolved += [(k, str(np.float32(getattr(header, k)))) for k in ("s_g", "s_l")]
+    resolved += [
+        (k, _text(v)) for k, v in vars(args).items() if k not in _NOT_OWN and v is not None
+    ]
+    print("resolved config: " + " ".join(f"{k}={v}" for k, v in resolved), file=sys.stderr)
+    return cfg, phi, header
 
 
 def _require(path: str | None, what: str) -> str:
@@ -180,20 +225,11 @@ class SystemExitError(Exception):
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    features = _require(cfg.features, "feature file (--features)")
-    header = read_header(features)
-    phi = cfg.phi if cfg.phi is not None else header.phi
-    _echo_config(cfg, phi, header)
-    pipe_cfg = _pipeline_config(cfg, phi)
-
-    pca = None
-    if getattr(args, "pca", None):
-        pca = load_pca_model(_require(args.pca, "PCA model (--pca)"))
-
+    cfg, phi, header = _resolve(args)
+    pca = load_pca_model(_require(args.pca, "PCA model (--pca)")) if args.pca else None
     out = cfg.out or "detections.csv"
     detections, pipeline = run_pipeline(
-        read_features(features), pipe_cfg, header.dim_global, pca=pca
+        read_features(cfg.features), _pipeline_config(cfg, phi), header.dim_global, pca=pca
     )
     with atomic_output(out, "w") as f:
         f.write("query_frame,matched_frame,inliers,similarity\n")
@@ -210,17 +246,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    features = _require(cfg.features, "feature file (--features)")
-    gt_path = _require(cfg.gt, "ground-truth file (--gt)")
-    header = read_header(features)
-    phi = cfg.phi if cfg.phi is not None else header.phi
-    _echo_config(cfg, phi, header)
+    cfg, phi, header = _resolve(args)
+    # parsed before the pipeline runs; its frame ids are checked after it
+    gt = read_ground_truth(_require(cfg.gt, "ground-truth file (--gt)"))
     pipe_cfg = _pipeline_config(cfg, phi)
-
-    frames = list(read_features(features))
-    gt = read_ground_truth(gt_path, frozenset(f[0] for f in frames))
-    curve = pr_curve(frames, gt, pipe_cfg, _taus(cfg), gt_window=cfg.gt_window)
+    records, _ = collect_frame_records(read_features(cfg.features), pipe_cfg, header.dim_global)
+    gt = GroundTruth(gt.pairs, frozenset(r.frame_id for r in records))
+    curve = pr_curve((), gt, pipe_cfg, _taus(cfg), gt_window=cfg.gt_window, records=records)
     if cfg.out:
         with atomic_output(cfg.out, "w") as f:
             write_pr_csv(f, curve)
@@ -231,20 +263,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg, phi, _ = _resolve(args)
     if not cfg.out:
         raise SystemExitError(2, "missing required output path (--out)")
-    phi = cfg.phi if cfg.phi is not None else 10.0
-    _echo_config(cfg, phi)
-    exclusion = int(round(cfg.psi * phi))
-    segments = tuple(
-        RevisitSegment(*(int(x) for x in part.split(":")))
-        for part in args.segments.split(",")
-        if part
-    )
     synth_cfg = SynthConfig(
         n_frames=args.frames,
-        segments=segments,
+        segments=tuple(RevisitSegment(*s) for s in args.segments),
         dim_global=args.dim_global,
         dim_local=args.dim_local,
         features_per_frame=args.features_per_frame,
@@ -252,7 +276,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sigma_global=args.sigma_global,
         sigma_px=args.sigma_px,
         sigma_desc=args.sigma_desc,
-        exclusion_zone=exclusion,
+        exclusion_zone=int(round(cfg.psi * phi)),
         seed=cfg.seed,
     )
     dataset = generate_synthetic(synth_cfg)
@@ -265,21 +289,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     if cfg.gt:
         write_ground_truth(cfg.gt, dataset.ground_truth)
-    logger.info(
-        "wrote %d synthetic frames (%d planted loops) -> %s",
-        len(dataset.frames),
-        len(dataset.planted),
-        cfg.out,
-    )
+    logger.info("wrote %d synthetic frames (%d planted loops) -> %s",
+                len(dataset.frames), len(dataset.planted), cfg.out)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg, phi, _ = _resolve(args)
     out_dir = cfg.out or "bench"
     os.makedirs(out_dir, exist_ok=True)
-    phi = cfg.phi if cfg.phi is not None else 10.0
-    _echo_config(cfg, phi)
+    pipe_cfg = _pipeline_config(cfg, phi)
     rng = np.random.default_rng(cfg.seed)
     dim = args.bench_dim
     k = args.k
@@ -290,45 +309,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     exact = evaluation.exact_knn(data, queries, k)
 
-    def build(params: HnswParams) -> tuple[HnswIndex, float]:
-        index = HnswIndex(dim, params)
-        t0 = time.perf_counter()
-        for i, v in enumerate(data):
-            index.insert(i, v)
-        return index, (time.perf_counter() - t0) * 1e3 / len(data)
-
-    def query_stats(index: HnswIndex, ef: int) -> tuple[float, float]:
-        t0 = time.perf_counter()
-        found = [index.knn_search(q, k, ef=max(ef, k)) for q in queries]
-        ms = (time.perf_counter() - t0) * 1e3 / len(queries)
-        ids = [[nb.frame_id for nb in row] for row in found]
-        return evaluation.mean_recall(ids, exact), ms
-
-    ef_list = [int(x) for x in args.ef_list.split(",")]
-    m_list = [int(x) for x in args.m_list.split(",")]
-
-    with atomic_output(os.path.join(out_dir, "ef_sweep.csv"), "w") as f:
-        f.write("ef,recall,mean_insert_ms,mean_query_ms\n")
-        for ef in ef_list:
-            index, insert_ms = build(
-                HnswParams(M=cfg.M, ef_construction=ef, ef_search=ef, rng_seed=cfg.seed)
-            )
-            recall, query_ms = query_stats(index, ef)
-            f.write(f"{ef},{recall:.6f},{insert_ms:.6f},{query_ms:.6f}\n")
-
-    with atomic_output(os.path.join(out_dir, "m_sweep.csv"), "w") as f:
-        f.write("M,recall,mean_insert_ms,mean_query_ms\n")
-        for m in m_list:
-            index, insert_ms = build(
-                HnswParams(
-                    M=m,
-                    ef_construction=cfg.ef_construction,
-                    ef_search=cfg.ef_search,
-                    rng_seed=cfg.seed,
-                )
-            )
-            recall, query_ms = query_stats(index, cfg.ef_search)
-            f.write(f"{m},{recall:.6f},{insert_ms:.6f},{query_ms:.6f}\n")
+    # each sweep varies the run's graph settings in the named fields; queries
+    # search at the swept graph's ef_search
+    for name, values, fields in (
+        ("ef", args.ef_list, ("ef_construction", "ef_search")),
+        ("M", args.m_list, ("M",)),
+    ):
+        with atomic_output(os.path.join(out_dir, f"{name.lower()}_sweep.csv"), "w") as f:
+            f.write(f"{name},recall,mean_insert_ms,mean_query_ms\n")
+            for value in values:
+                params = dataclasses.replace(pipe_cfg.hnsw, **dict.fromkeys(fields, value))
+                index = HnswIndex(dim, params)
+                t0 = time.perf_counter()
+                for i, v in enumerate(data):
+                    index.insert(i, v)
+                insert_ms = (time.perf_counter() - t0) * 1e3 / len(data)
+                t0 = time.perf_counter()
+                ef = max(params.ef_search, k)
+                found = [index.knn_search(q, k, ef=ef) for q in queries]
+                query_ms = (time.perf_counter() - t0) * 1e3 / len(queries)
+                recall = evaluation.mean_recall([[nb.frame_id for nb in row] for row in found],
+                                                exact)
+                f.write(f"{value},{recall:.6f},{insert_ms:.6f},{query_ms:.6f}\n")
 
     # timing and n sweep run on a planted synthetic trajectory
     n_frames = args.bench_frames
@@ -349,17 +351,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
             seed=cfg.seed,
         )
     )
-    _, pipeline = run_pipeline(dataset.frames, _pipeline_config(cfg, phi), dim)
+    _, pipeline = run_pipeline(dataset.frames, pipe_cfg, dim)
     with atomic_output(os.path.join(out_dir, "timing.csv"), "w") as f:
         write_timing_csv(f, pipeline.records)
 
-    n_list = [int(x) for x in args.n_list.split(",")]
     with atomic_output(os.path.join(out_dir, "n_sweep.csv"), "w") as f:
         f.write("n,recall_at_100_precision,mean_frame_ms\n")
-        for n in n_list:
-            pipe_cfg = dataclasses.replace(_pipeline_config(cfg, phi), n=n)
+        for n in args.n_list:
             t0 = time.perf_counter()
-            curve = pr_curve(dataset.frames, dataset.ground_truth, pipe_cfg, _taus(cfg),
+            curve = pr_curve(dataset.frames, dataset.ground_truth,
+                             dataclasses.replace(pipe_cfg, n=n), _taus(cfg),
                              gt_window=cfg.gt_window)
             ms = (time.perf_counter() - t0) * 1e3 / len(dataset.frames)
             f.write(f"{n},{recall_at_full_precision(curve):.6f},{ms:.6f}\n")
@@ -369,16 +370,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_pca_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    features = _require(cfg.features, "feature file (--features)")
-    header = read_header(features)
-    _echo_config(cfg, cfg.phi if cfg.phi is not None else header.phi, header)
+    cfg, _, _ = _resolve(args)
     if not cfg.out:
         raise SystemExitError(2, "missing required output path (--out)")
 
     collected = []
     total = 0
-    for _, _, locals_ in read_features(features):
+    for _, _, locals_ in read_features(cfg.features):
         if len(locals_) == 0:
             continue
         collected.append(np.asarray(locals_.descriptors, dtype=np.float64))
@@ -406,17 +404,6 @@ def cmd_pca_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    for f in dataclasses.fields(RunConfig):
-        p.add_argument(
-            "--" + f.name.replace("_", "-"),
-            dest=f.name,
-            type=f.metadata["parse"],
-            help=f.metadata["help"],
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopdet",
@@ -424,19 +411,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", help="run the detection pipeline over a feature file")
-    _add_common(p)
+    def command(name: str, func, doc: str) -> argparse.ArgumentParser:
+        """A subcommand with ``--config`` and a flag per knob it reads."""
+        # no abbreviations: a flag scoped away must not match a longer one
+        p = sub.add_parser(name, help=doc, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        for f in _knobs(name).values():
+            p.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f.name,
+                type=f.metadata["parse"],
+                help=f.metadata["help"],
+            )
+        return p
+
+    p = command("detect", cmd_detect, "run the detection pipeline over a feature file")
     p.add_argument("--pca", help="optional PCA model applied to raw local descriptors")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("eval", help="precision-recall sweep against ground truth")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    command("eval", cmd_eval, "precision-recall sweep against ground truth")
 
-    p = sub.add_parser("synth", help="generate a synthetic feature container")
-    _add_common(p)
+    p = command("synth", cmd_synth, "generate a synthetic feature container")
     p.add_argument("--frames", type=int, default=2000, help="trajectory length")
-    p.add_argument("--segments", default="",
+    p.add_argument("--segments", type=_segments, default="",
                    help="revisit segments as origin:revisit:length[,...]")
     p.add_argument("--dim-global", dest="dim_global", type=int, default=256)
     p.add_argument("--dim-local", dest="dim_local", type=int, default=40)
@@ -445,26 +442,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-global", dest="sigma_global", type=float, default=0.0)
     p.add_argument("--sigma-px", dest="sigma_px", type=float, default=0.0)
     p.add_argument("--sigma-desc", dest="sigma_desc", type=float, default=0.0)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="graph sweeps and per-stage timing tables")
-    _add_common(p)
+    p = command("bench", cmd_bench, "graph sweeps and per-stage timing tables")
     p.add_argument("--bench-vectors", dest="bench_vectors", type=int, default=2000)
     p.add_argument("--bench-queries", dest="bench_queries", type=int, default=200)
     p.add_argument("--bench-dim", dest="bench_dim", type=int, default=64)
     p.add_argument("--bench-frames", dest="bench_frames", type=int, default=1500)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ef-list", dest="ef_list", default="20,40,80")
-    p.add_argument("--m-list", dest="m_list", default="8,16,48")
-    p.add_argument("--n-list", dest="n_list", default="1,3,5,10")
-    p.set_defaults(func=cmd_bench)
+    p.add_argument("--ef-list", dest="ef_list", type=_ints, default="20,40,80")
+    p.add_argument("--m-list", dest="m_list", type=_ints, default="8,16,48")
+    p.add_argument("--n-list", dest="n_list", type=_ints, default="1,3,5,10")
 
-    p = sub.add_parser("pca-fit", help="fit a PCA reduction on a container's local descriptors")
-    _add_common(p)
+    p = command("pca-fit", cmd_pca_fit,
+                "fit a PCA reduction on a container's local descriptors")
     p.add_argument("--out-dim", dest="out_dim", type=int, default=40)
     p.add_argument("--whiten", action="store_true")
     p.add_argument("--max-samples", dest="max_samples", type=int, default=50000)
-    p.set_defaults(func=cmd_pca_fit)
 
     return parser
 

@@ -187,6 +187,13 @@ class LoopClosurePipeline:
             raise ValueError(
                 f"frame ids must be strictly increasing: {frame_id} after {self._last_frame_id}"
             )
+        # verification seeds RANSAC with the feature set's id, the store files
+        # it under frame_id: the two must agree
+        for part in (g, locals_):
+            if isinstance(part, (GlobalDescriptor, LocalFeatureSet)) and part.frame_id != frame_id:
+                raise ValueError(
+                    f"frame {frame_id}: {type(part).__name__} names frame {part.frame_id}"
+                )
         vec = np.asarray(
             g.values if isinstance(g, GlobalDescriptor) else g, dtype=np.float64
         ).reshape(-1)

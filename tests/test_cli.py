@@ -22,6 +22,24 @@ def synth_paths(tmp_path_factory):
     return feats, gt
 
 
+def echoed(capsys) -> dict[str, str]:
+    """The key=value pairs of the run's ``resolved config:`` line."""
+    line = next(ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("resolved config:"))
+    return dict(tok.split("=", 1) for tok in line.split()[2:])
+
+
+def usage_error(argv, capsys) -> str:
+    """Run argv expecting argparse's usage error; return its error line."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "resolved config" not in err
+    return err.strip().splitlines()[-1]
+
+
 DETECT_FLAGS = ["--psi", 2, "--phi", 10, "--n", 3, "--M", 8,
                 "--ef-construction", 24, "--ef-search", 24, "--seed", 11]
 
@@ -222,9 +240,24 @@ class TestSynth:
                     "--psi", 2, "--phi", 10, "--out", tmp_path / "x.fftc"])
         assert code == 1
 
+    def test_echo_holds_own_flags_in_their_flag_form(self, tmp_path, capsys):
+        argv = ["synth", "--frames", 40, "--segments", "1:22:4,8:30:4", "--dim-global", 8,
+                "--features-per-frame", 6, "--psi", 2, "--phi", 10, "--out", tmp_path / "x.fftc"]
+        assert run(argv) == 0
+        echo = echoed(capsys)
+        assert echo["frames"] == "40" and echo["segments"] == "1:22:4,8:30:4"
+        assert echo["dim_global"] == "8" and echo["sigma_px"] == "0.0"
+        assert "tau" not in echo and "features" not in echo
+        # the echoed own flags parse back to the same run
+        again = ["synth", "--out", tmp_path / "y.fftc"]
+        for key in ("frames", "segments", "dim_global", "features_per_frame", "psi", "phi"):
+            again += ["--" + key.replace("_", "-"), echo[key]]
+        assert run(again) == 0
+        assert (tmp_path / "x.fftc").read_bytes() == (tmp_path / "y.fftc").read_bytes()
+
 
 class TestBench:
-    def test_tables_written_with_monotone_ef_recall(self, tmp_path):
+    def test_tables_written_with_monotone_ef_recall(self, tmp_path, capsys):
         out = tmp_path / "bench"
         code = run(["bench", "--out", out, "--bench-vectors", 400,
                     "--bench-queries", 50, "--bench-frames", 120,
@@ -246,6 +279,12 @@ class TestBench:
         n_rows = (out / "n_sweep.csv").read_text().strip().splitlines()
         assert n_rows[0] == "n,recall_at_100_precision,mean_frame_ms"
         assert len(n_rows) == 3
+        echo = echoed(capsys)
+        assert (echo["bench_vectors"], echo["bench_queries"], echo["bench_frames"]) == (
+            "400", "50", "120")
+        assert (echo["ef_list"], echo["m_list"], echo["n_list"]) == ("20,40,80", "6,8", "1,3")
+        assert (echo["k"], echo["bench_dim"], echo["tau_range"]) == ("10", "64", "0:20:5")
+        assert "features" not in echo and "gt" not in echo
 
 
 class TestPcaFit:
@@ -277,3 +316,98 @@ class TestPcaFit:
         assert run(["detect", "--features", feats, "--pca", model_path,
                     "--out", out, "--tau", 10] + DETECT_FLAGS) == 0
         assert len(out.read_text().splitlines()) > 1
+
+
+class TestFlagSurface:
+    """Each subcommand takes the knobs it reads; a malformed list flag is a
+    usage error before any work."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--features", "f.fftc", "--gt", "g.csv", "--tau", 0], "--tau"),
+        (["synth", "--M", 8], "--M"),
+        (["pca-fit", "--features", "f.fftc", "--psi", 99], "--psi"),
+        (["detect", "--features", "f.fftc", "--tau-range", "0:9"], "--tau-range"),
+        # not taken as an abbreviation of --tau-range, --gt-window or --features-per-frame
+        (["eval", "--features", "f.fftc", "--gt", "g.csv", "--tau", "0:9"], "--tau"),
+        (["bench", "--gt", 5], "--gt"),
+        (["synth", "--features", 5], "--features"),
+    ])
+    def test_flag_a_subcommand_never_reads_exits_2(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        line = usage_error(argv + ["--out", out], capsys)
+        assert "unrecognized arguments" in line and flag in line
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--segments", "1:2"],
+        ["synth", "--segments", "1:x:3"],
+        ["bench", "--ef-list", "20,x"],
+    ])
+    def test_malformed_list_flag_exits_2_before_any_work(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        line = usage_error(argv + ["--out", out], capsys)
+        assert line.startswith("loopdet ") and "error: argument " + argv[1] in line
+        assert list(tmp_path.iterdir()) == []
+
+    def test_per_subcommand_flag_counts(self):
+        import argparse
+
+        from loopdet.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        counts = {name: sum(o.startswith("--") and o != "--help"
+                            for a in p._actions for o in a.option_strings)
+                  for name, p in sub.choices.items()}
+        assert counts == {"detect": 15, "eval": 16, "synth": 15, "bench": 23, "pca-fit": 6}
+
+    def test_config_file_keys_of_other_subcommands_still_load(self, synth_paths, tmp_path,
+                                                              capsys):
+        feats, gt = synth_paths
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"features={feats}\ngt={gt}\npsi=2\nphi=10\nn=3\nM=8\nef_construction=24\n"
+            "ef_search=24\nseed=11\ntau=10\ntau_range=0:30:5\ngt_window=5\n"
+        )
+        out = tmp_path / "det.csv"
+        assert run(["detect", "--config", config, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) > 1
+        echo = echoed(capsys)
+        assert echo["tau"] == "10"
+        assert "tau_range" not in echo and "gt" not in echo and "gt_window" not in echo
+        # eval reads the same file; it does not read tau
+        assert run(["eval", "--config", config, "--out", tmp_path / "pr.csv"]) == 0
+        echo = echoed(capsys)
+        assert echo["tau_range"] == "0:30:5" and "tau" not in echo
+
+
+class TestEvalGroundTruth:
+    def test_malformed_gt_fails_before_the_pipeline(self, synth_paths, tmp_path, capsys,
+                                                    monkeypatch):
+        from loopdet import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "collect_frame_records", never)
+        feats, _ = synth_paths
+        gt = tmp_path / "gt.csv"
+        gt.write_text("5,1,2\n")
+        out = tmp_path / "pr.csv"
+        capsys.readouterr()
+        assert run(["eval", "--features", feats, "--gt", gt, "--out", out]
+                   + DETECT_FLAGS) == 1
+        assert not out.exists()
+        assert "expected 'query_frame,matched_frame'" in capsys.readouterr().err
+
+    def test_gt_naming_an_unknown_frame_exits_1(self, synth_paths, tmp_path, capsys):
+        feats, _ = synth_paths
+        gt = tmp_path / "gt.csv"
+        gt.write_text("150,10\n500,20\n")
+        out = tmp_path / "pr.csv"
+        capsys.readouterr()
+        assert run(["eval", "--features", feats, "--gt", gt, "--out", out]
+                   + DETECT_FLAGS) == 1
+        assert not out.exists()
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
+        assert errors == ["error: ground-truth pair for query 500 references unknown frames"]

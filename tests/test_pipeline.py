@@ -4,6 +4,7 @@ import pytest
 from loopdet import (
     DegenerateDescriptorError,
     EpipolarScene,
+    GlobalDescriptor,
     HnswParams,
     LocalFeatureSet,
     LoopClosurePipeline,
@@ -144,6 +145,28 @@ class TestProcessFrame:
         assert pipe.records == records
         assert pipe._last_frame_id == last == 24
         assert 25 not in pipe.locals_store
+
+    @pytest.mark.parametrize("named", ["locals", "global"])
+    def test_feature_set_of_another_frame_rejected_before_any_state_changes(
+        self, rng, named
+    ):
+        cfg = tiny_config()  # N_non = 20
+        pipe = LoopClosurePipeline(cfg, 16)
+        for fid, g, lf in drifting_frames(rng, 25):
+            pipe.process_frame(fid, g, lf)
+        fifo, index_ids = list(pipe.fifo), pipe.index.frame_ids
+        records, last = list(pipe.records), pipe._last_frame_id
+        v = unit_rows(rng, 1, 16)[0]
+        g = GlobalDescriptor(24 if named == "global" else 25, v)
+        lf = LocalFeatureSet.empty(24 if named == "locals" else 25, 4)
+        with pytest.raises(ValueError, match="names frame 24"):
+            pipe.process_frame(25, g, lf)
+        assert list(pipe.fifo) == fifo
+        assert pipe.index.frame_ids == index_ids
+        assert pipe.records == records
+        assert pipe._last_frame_id == last == 24
+        assert 25 not in pipe.locals_store
+        pipe.process_frame(25, GlobalDescriptor(25, v), LocalFeatureSet.empty(25, 4))
 
     def test_detection_starts_on_second_revisit_frame(self):
         # beta = 2: the streak-leading revisit frame is never reported
