@@ -31,7 +31,7 @@ from .container import (
     read_header,
     write_features,
 )
-from .descriptors import fit_pca, load_pca_model, save_pca_model
+from .descriptors import fit_pca, load_pca_model, reduce_features, save_pca_model
 from .evaluation import (
     GroundTruth,
     RevisitSegment,
@@ -53,15 +53,13 @@ logger = logging.getLogger("loopdet")
 
 def _parse_tau_range(raw: str) -> tuple[int, int, int]:
     parts = raw.split(":")
-    if len(parts) == 2:
-        lo, hi, step = int(parts[0]), int(parts[1]), 1
-    elif len(parts) == 3:
-        lo, hi, step = (int(p) for p in parts)
-    else:
-        raise ValueError(f"tau range must be lo:hi or lo:hi:step, got {raw!r}")
-    if step < 1 or hi < lo:
-        raise ValueError(f"invalid tau range {raw!r}")
-    return lo, hi, step
+    try:
+        lo, hi, step = map(int, parts + ["1"] if len(parts) == 2 else parts)
+        if lo <= hi and step >= 1:
+            return lo, hi, step
+    except ValueError:  # not integers, or not two or three of them
+        pass
+    raise argparse.ArgumentTypeError(f"expected lo:hi[:step], lo <= hi, step >= 1, got {raw!r}")
 
 
 def _ints(raw: str, sep: str = ",") -> tuple[int, ...]:
@@ -100,8 +98,9 @@ class RunConfig:
     n: int = _knob(5, int, "retrieval candidates per query", _PIPE)
     epsilon: float = _knob(0.7, float, "distance-ratio threshold", _PIPE)
     beta: int = _knob(2, int, "consecutive frames for temporal consistency", _PIPE)
-    # eval runs once at tau=0 and replays every tau of its tau_range
-    tau: int = _knob(12, int, "inlier acceptance threshold", "detect bench")
+    # only detect gates its detections; eval and bench record each frame's best
+    # candidate in one pass and replay every tau of their tau_range
+    tau: int = _knob(12, int, "inlier acceptance threshold", "detect")
     delta: float = _knob(15.0, float, "attention-score threshold", _PIPE)
     M: int = _knob(48, int, "graph degree cap per layer", _PIPE)
     ef_construction: int = _knob(40, int, "graph construction beam width", _PIPE)
@@ -141,7 +140,10 @@ class RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in fields:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = fields[key].metadata["parse"](raw)
+            try:
+                values[key] = fields[key].metadata["parse"](raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config line {lineno}: {key}: {exc}") from None
         return cls(**values)
 
 
@@ -226,11 +228,15 @@ class SystemExitError(Exception):
 
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg, phi, header = _resolve(args)
-    pca = load_pca_model(_require(args.pca, "PCA model (--pca)")) if args.pca else None
+    frames = read_features(cfg.features)
+    if args.pca:
+        pca = load_pca_model(_require(args.pca, "PCA model (--pca)"))
+        if pca.raw_dim != header.dim_local:
+            raise ValueError(f"PCA model is {pca.raw_dim}-d, {cfg.features} holds "
+                             f"{header.dim_local}-d local descriptors")
+        frames = ((i, g, reduce_features(pca, ls)) for i, g, ls in frames)
     out = cfg.out or "detections.csv"
-    detections, pipeline = run_pipeline(
-        read_features(cfg.features), _pipeline_config(cfg, phi), header.dim_global, pca=pca
-    )
+    detections, pipeline = run_pipeline(frames, _pipeline_config(cfg, phi), header.dim_global)
     with atomic_output(out, "w") as f:
         f.write("query_frame,matched_frame,inliers,similarity\n")
         for det in detections:
@@ -238,10 +244,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 f"{det.query_frame},{det.matched_frame},"
                 f"{det.inlier_count},{det.similarity:.6f}\n"
             )
-    logger.info(
-        "processed %d frames, %d detections -> %s",
-        pipeline.frames_processed, len(detections), out,
-    )
+    logger.info("processed %d frames, %d detections -> %s",
+                len(pipeline.records), len(detections), out)
     return 0
 
 
@@ -427,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("detect", cmd_detect, "run the detection pipeline over a feature file")
-    p.add_argument("--pca", help="optional PCA model applied to raw local descriptors")
+    p.add_argument("--pca", help="optional PCA model applied to every frame's raw local "
+                                 "descriptors as they are read")
 
     command("eval", cmd_eval, "precision-recall sweep against ground truth")
 

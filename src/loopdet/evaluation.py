@@ -149,10 +149,10 @@ def pr_curve(
 ) -> list[PrPoint]:
     """Sweep the inlier acceptance threshold over one cached pipeline pass.
 
-    The pipeline runs once with the inlier gate disabled, caching each
-    frame's best verified candidate; every ``tau`` is then replayed through
-    the temporal filter, which is exact because candidate choice and inlier
-    counts are independent of ``tau``.
+    The pipeline runs once, recording each frame's max-inlier candidate;
+    every ``tau`` is then replayed through the inlier gate and the temporal
+    filter, which is exact because candidate choice and inlier counts are
+    independent of ``tau``.
     """
     taus = sorted(tau_range)
     if not taus:

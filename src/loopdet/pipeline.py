@@ -1,31 +1,24 @@
 """Online loop-closure state machine.
 
-Each incoming frame is score-filtered (and optionally PCA-reduced), the
-oldest deferred frame is moved from the FIFO queue into the search index
-once the queue reaches the exclusion size ``N_non = round(psi * phi)``, the
-top ``n`` revisit candidates are retrieved and geometrically verified, and a
-loop is reported only after ``beta`` consecutive frames verify against
-nearby locations.  Frames inside the exclusion window are never searchable,
-so a query can only ever match frames at least ``N_non`` ids behind it.
+Each incoming frame is score-filtered, the oldest deferred frame is moved
+from the FIFO queue into the search index once the queue reaches the
+exclusion size ``N_non = round(psi * phi)``, the top ``n`` revisit
+candidates are retrieved and geometrically verified, and a loop is reported
+only after ``beta`` consecutive frames pass the inlier gate against nearby
+locations.  Frames inside the exclusion window are never searchable, so a
+query can only ever match frames at least ``N_non`` ids behind it.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .descriptors import (
-    GlobalDescriptor,
-    LocalFeatureSet,
-    PcaModel,
-    filter_by_score,
-    l2_normalize,
-    reduce_features,
-)
+from .descriptors import GlobalDescriptor, LocalFeatureSet, filter_by_score, l2_normalize
 from .geometry import FundamentalMatrix, VerificationResult, brute_force_match, ransac_fundamental
 from .hnsw import HnswIndex, HnswParams, Neighbor
 
@@ -44,12 +37,14 @@ class PipelineConfig:
     """All pipeline knobs.
 
     ``psi`` (seconds) times ``phi`` (frames/s) defines the exclusion zone;
-    ``n`` candidates are verified per query with ratio threshold ``epsilon``
-    and inlier acceptance ``tau``; ``delta`` filters local features at
-    ingestion; ``beta`` consecutive verified frames are required before a
-    loop is reported.  The matched frames of a streak must lie within
-    ``window = n * (beta + 1)`` of each other.  RANSAC runs with the fixed
-    settings of :func:`ransac_fundamental` (budget 500, 3 px, 0.99, refit).
+    ``n`` candidates are verified per query with ratio threshold ``epsilon``;
+    ``delta`` filters local features at ingestion; ``beta`` consecutive
+    frames whose best candidate reaches ``tau`` inliers are required before
+    a loop is reported.  ``tau`` is read only by the inlier gate, never by
+    verification, so the frame records do not depend on it.  The matched
+    frames of a streak must lie within ``window = n * (beta + 1)`` of each
+    other.  RANSAC runs with the fixed settings of
+    :func:`ransac_fundamental` (budget 500, 3 px, 0.99, refit).
     """
 
     psi: float = 40.0
@@ -98,10 +93,11 @@ class LoopDetection:
 class FrameRecord:
     """What one processed frame did.
 
-    The best verification outcome (before the temporal filter), with
-    ``matched_frame`` None when verification failed, and the wall-clock
-    seconds spent in each of :data:`STAGES` (0.0 for a stage that did not
-    run).
+    The max-inlier candidate, whatever ``tau`` is (before the inlier gate
+    and the temporal filter), with ``matched_frame`` None and
+    ``inlier_count`` -1 when no candidate yielded a model, and the
+    wall-clock seconds spent in each of :data:`STAGES` (0.0 for a stage that
+    did not run).
     """
 
     frame_id: int
@@ -109,6 +105,12 @@ class FrameRecord:
     inlier_count: int
     similarity: float
     stages: dict[str, float]
+
+
+def _gate(record: FrameRecord, tau: int) -> int | None:
+    """The inlier gate: the record's matched frame if its best candidate has
+    at least ``tau`` inliers, else None.  Live runs and replays both use it."""
+    return record.matched_frame if record.inlier_count >= tau else None
 
 
 class TemporalFilter:
@@ -156,19 +158,14 @@ class LoopClosurePipeline:
     ``records``.
     """
 
-    def __init__(self, config: PipelineConfig, dim: int, pca: PcaModel | None = None):
+    def __init__(self, config: PipelineConfig, dim: int):
         self.config = config
         self.index = HnswIndex(dim, config.hnsw)
-        self.pca = pca
         self.fifo: deque[tuple[int, np.ndarray]] = deque()
         self.locals_store: dict[int, LocalFeatureSet] = {}
         self.records: list[FrameRecord] = []
         self._temporal = TemporalFilter(config.beta, config.window)
         self._last_frame_id: int | None = None
-
-    @property
-    def frames_processed(self) -> int:
-        return len(self.records)
 
     def searchable_region(self) -> tuple[int, int] | None:
         """Contiguous frame-id range currently in the index, or None."""
@@ -207,8 +204,6 @@ class LoopClosurePipeline:
 
         t0 = time.perf_counter()
         kept = filter_by_score(locals_, cfg.delta)
-        if self.pca is not None and kept.dim != self.pca.out_dim:
-            kept = reduce_features(self.pca, kept)
         stages["feature_ingestion"] = time.perf_counter() - t0
 
         if len(self.fifo) == cfg.n_non:
@@ -229,8 +224,9 @@ class LoopClosurePipeline:
         if best is not None:
             matched, result, sim = best
             inliers = result.inlier_count
+        record = FrameRecord(frame_id, matched, inliers, sim, stages)
         detection = None
-        if self._temporal.update(matched):
+        if self._temporal.update(_gate(record, cfg.tau)):
             if frame_id - matched < cfg.n_non:
                 raise RuntimeError(
                     f"exclusion-zone invariant violated: {frame_id} matched {matched}"
@@ -241,7 +237,7 @@ class LoopClosurePipeline:
         self.locals_store[frame_id] = kept
         self._last_frame_id = frame_id
         stages["whole_system"] = time.perf_counter() - t_start
-        self.records.append(FrameRecord(frame_id, matched, inliers, sim, stages))
+        self.records.append(record)
         return detection
 
     def verify_candidates(
@@ -254,9 +250,10 @@ class LoopClosurePipeline:
 
         Candidates arrive sorted by similarity descending with frame-id tie
         break, and only a strictly greater inlier count displaces the
-        incumbent, so ties resolve to the higher-similarity candidate.
-        Returns ``(frame_id, result, similarity)`` or None if every
-        candidate fails.
+        incumbent, so ties resolve to the higher-similarity candidate.  RANSAC
+        runs with no inlier threshold; ``tau`` is applied later, by the gate.
+        Returns ``(frame_id, result, similarity)``, or None if no candidate
+        has 8 matches and a model.
         """
         cfg = self.config
         best: tuple[int, VerificationResult, float] | None = None
@@ -276,7 +273,7 @@ class LoopClosurePipeline:
                 matches,
                 query_locals,
                 cand_locals,
-                cfg.tau,
+                0,
                 _candidate_rng(cfg.seed, query_locals.frame_id, cand.frame_id),
             )
             if stages is not None:
@@ -291,7 +288,6 @@ def run_pipeline(
     frames: Iterable[tuple[int, GlobalDescriptor | np.ndarray, LocalFeatureSet]],
     config: PipelineConfig,
     dim: int,
-    pca: PcaModel | None = None,
 ) -> tuple[list[LoopDetection], LoopClosurePipeline]:
     """Feed a frame stream through a fresh pipeline; returns detections and state.
 
@@ -299,7 +295,7 @@ def run_pipeline(
     sweep and the timing table all go through it and read the per-frame
     records from the returned pipeline.
     """
-    pipeline = LoopClosurePipeline(config, dim, pca=pca)
+    pipeline = LoopClosurePipeline(config, dim)
     detections = []
     for frame_id, g, locals_ in frames:
         det = pipeline.process_frame(frame_id, g, locals_)
@@ -311,18 +307,17 @@ def run_pipeline(
 def replay_detections(
     records: Sequence[FrameRecord], tau: int, beta: int, window: int
 ) -> list[tuple[int, int, int]]:
-    """Re-threshold cached per-frame verification records at a new ``tau``.
+    """Re-threshold the per-frame records of one run at a new ``tau``.
 
     Returns (query_frame, matched_frame, inlier_count) triples exactly as a
-    live run with that ``tau`` would have emitted them, reusing the same
-    temporal filter; valid because the per-candidate inlier counts do not
-    depend on ``tau``.
+    live run with that ``tau`` would have emitted them: the records do not
+    depend on ``tau``, and they pass through the same gate and temporal
+    filter.
     """
     temporal = TemporalFilter(beta, window)
     out = []
     for rec in records:
-        hit = rec.matched_frame is not None and rec.inlier_count >= tau
-        if temporal.update(rec.matched_frame if hit else None):
+        if temporal.update(_gate(rec, tau)):
             out.append((rec.frame_id, rec.matched_frame, rec.inlier_count))
     return out
 
@@ -331,9 +326,8 @@ def collect_frame_records(
     frames: Iterable[tuple[int, GlobalDescriptor | np.ndarray, LocalFeatureSet]],
     config: PipelineConfig,
     dim: int,
-    pca: PcaModel | None = None,
 ) -> tuple[list[FrameRecord], LoopClosurePipeline]:
-    """One pipeline pass with the inlier gate disabled, for threshold sweeps."""
-    permissive = replace(config, tau=0)
-    _, pipeline = run_pipeline(frames, permissive, dim, pca=pca)
+    """One pipeline pass for threshold sweeps: its records, which do not
+    depend on ``config.tau``, replay at any ``tau``."""
+    _, pipeline = run_pipeline(frames, config, dim)
     return pipeline.records, pipeline

@@ -57,6 +57,16 @@ class TestRunConfig:
         cfg = RunConfig.from_text("# comment\npsi=5\n\nn=2\n")
         assert cfg.psi == 5.0 and cfg.n == 2
 
+    @pytest.mark.parametrize("line", ["tau_range=0", "psi=abc"])
+    def test_malformed_value_names_its_config_line(self, line, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--config", config, "--out", tmp_path / "pr.csv"]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
+        assert len(errors) == 1 and errors[0].startswith("error: config line 1: ")
+        assert list(tmp_path.iterdir()) == [config]
+
 
 class TestDetect:
     def test_detections_csv_is_exclusion_safe(self, synth_paths, tmp_path):
@@ -317,6 +327,42 @@ class TestPcaFit:
                     "--out", out, "--tau", 10] + DETECT_FLAGS) == 0
         assert len(out.read_text().splitlines()) > 1
 
+    def test_model_keeping_the_dimension_is_applied(self, synth_paths, tmp_path):
+        # a 40 -> 40 model whose basis is all zeros drops every local feature
+        from loopdet import PcaModel, save_pca_model
+
+        feats, _ = synth_paths
+        model_path = tmp_path / "zero.fpca"
+        save_pca_model(model_path, PcaModel(np.zeros(40), np.zeros((40, 40)), np.zeros(40)))
+        plain, reduced = tmp_path / "plain.csv", tmp_path / "reduced.csv"
+        assert run(["detect", "--features", feats, "--out", plain, "--tau", 10]
+                   + DETECT_FLAGS) == 0
+        assert len(plain.read_text().splitlines()) > 1
+        assert run(["detect", "--features", feats, "--pca", model_path,
+                    "--out", reduced, "--tau", 10] + DETECT_FLAGS) == 0
+        assert reduced.read_text() == "query_frame,matched_frame,inliers,similarity\n"
+
+    def test_dimension_mismatch_exits_1_before_any_work(self, synth_paths, tmp_path, capsys,
+                                                        monkeypatch):
+        # a 64 -> 40 model on a container that already holds 40-d locals
+        from loopdet import PcaModel, cli, save_pca_model
+
+        def never(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        feats, _ = synth_paths
+        model_path = tmp_path / "model.fpca"
+        basis = np.eye(64)[:, :40]
+        save_pca_model(model_path, PcaModel(np.zeros(64), basis, np.zeros(40)))
+        out = tmp_path / "det.csv"
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--pca", model_path, "--out", out]
+                   + DETECT_FLAGS) == 1
+        assert not out.exists()
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
+        assert len(errors) == 1 and "64" in errors[0] and "40" in errors[0]
+
 
 class TestFlagSurface:
     """Each subcommand takes the knobs it reads; a malformed list flag is a
@@ -331,6 +377,7 @@ class TestFlagSurface:
         (["eval", "--features", "f.fftc", "--gt", "g.csv", "--tau", "0:9"], "--tau"),
         (["bench", "--gt", 5], "--gt"),
         (["synth", "--features", 5], "--features"),
+        (["bench", "--tau", 3], "--tau"),
     ])
     def test_flag_a_subcommand_never_reads_exits_2(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -349,6 +396,12 @@ class TestFlagSurface:
         assert line.startswith("loopdet ") and "error: argument " + argv[1] in line
         assert list(tmp_path.iterdir()) == []
 
+    def test_malformed_tau_range_names_its_form(self, tmp_path, capsys):
+        line = usage_error(["eval", "--tau-range", "0", "--out", tmp_path / "pr.csv"], capsys)
+        assert "argument --tau-range" in line and "lo:hi" in line
+        assert "_parse_tau_range" not in line
+        assert list(tmp_path.iterdir()) == []
+
     def test_per_subcommand_flag_counts(self):
         import argparse
 
@@ -359,7 +412,7 @@ class TestFlagSurface:
         counts = {name: sum(o.startswith("--") and o != "--help"
                             for a in p._actions for o in a.option_strings)
                   for name, p in sub.choices.items()}
-        assert counts == {"detect": 15, "eval": 16, "synth": 15, "bench": 23, "pca-fit": 6}
+        assert counts == {"detect": 15, "eval": 16, "synth": 15, "bench": 22, "pca-fit": 6}
 
     def test_config_file_keys_of_other_subcommands_still_load(self, synth_paths, tmp_path,
                                                               capsys):

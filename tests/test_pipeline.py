@@ -309,12 +309,19 @@ class TestVerifyCandidates:
         assert frame == 8
         assert result.inlier_count == 35
 
-    def test_tau_gates_acceptance(self, rng):
-        pipe = self.build(tau=25)
-        cand, pb, desc = self.planted_candidate(rng, 7, 20)
-        pipe.locals_store[7] = cand
-        query = LocalFeatureSet(99, pb, np.full(20, 50.0), desc)
-        assert pipe.verify_candidates(query, [Neighbor(7, 0.9)]) is None
+    def test_tau_gates_the_record_not_verification(self):
+        # a 20-inlier candidate below tau=25 is the frame's recorded best
+        # candidate; the gate keeps it from the temporal filter
+        for tau, fires in ((25, False), (20, True)):
+            rng = np.random.default_rng(0)
+            pipe = LoopClosurePipeline(tiny_config(psi=0.1, tau=tau, beta=1, n=5), 16)
+            cand, pb, desc = self.planted_candidate(rng, 7, 20)
+            g = unit_rows(rng, 1, 16)[0]
+            assert pipe.process_frame(7, g, cand) is None
+            detection = pipe.process_frame(99, g, LocalFeatureSet(99, pb, np.full(20, 50.0), desc))
+            rec = pipe.records[-1]
+            assert (rec.matched_frame, rec.inlier_count) == (7, 20)
+            assert (detection is not None) == fires
 
 
 class TestReplay:
@@ -324,8 +331,12 @@ class TestReplay:
         _, permissive = run_pipeline(ds.frames, base, 32)
         for tau in (5, 12, 20, 28):
             cfg = tiny_config(tau=tau)
-            live, _ = run_pipeline(ds.frames, cfg, 32)
+            live, live_pipe = run_pipeline(ds.frames, cfg, 32)
             replayed = replay_detections(permissive.records, tau, cfg.beta, cfg.window)
             assert [(d.query_frame, d.matched_frame) for d in live] == [
                 (q, m) for q, m, _ in replayed
+            ]
+            # the records do not depend on tau
+            assert [(r.frame_id, r.matched_frame, r.inlier_count) for r in live_pipe.records] == [
+                (r.frame_id, r.matched_frame, r.inlier_count) for r in permissive.records
             ]
