@@ -7,7 +7,7 @@ command-line flags.  Every run echoes the fully resolved parameter set, its
 knobs and its own flags, to standard error.  Exit codes: 0 success, 1
 semantic failure during detection/evaluation, 2 usage or file errors, 3 an
 internal invariant violated (a ``RuntimeError`` such as the exclusion-zone
-check or ``IndexAuditError``); each failure prints one ``error:`` line.
+check); each failure prints one ``error:`` line.
 """
 
 from __future__ import annotations

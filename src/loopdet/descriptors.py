@@ -21,19 +21,23 @@ PCA_VERSION = 1
 
 
 class DegenerateDescriptorError(ValueError):
-    """A descriptor or projection collapsed to the zero vector."""
+    """A descriptor or projection collapsed to the zero vector, or a
+    descriptor holds a NaN or an infinite entry."""
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Scale ``v`` to unit Euclidean norm, preserving direction.
 
-    Raises :class:`DegenerateDescriptorError` on the zero vector.  Pre-scales
-    by the largest magnitude so subnormal inputs do not underflow to zero.
+    Raises :class:`DegenerateDescriptorError` on the zero vector and on any
+    non-finite entry.  Pre-scales by the largest magnitude so subnormal
+    inputs do not underflow to zero.
     """
     v = np.asarray(v, dtype=np.float64)
     peak = float(np.abs(v).max()) if v.size else 0.0
     if peak == 0.0:
         raise DegenerateDescriptorError("cannot normalize zero vector")
+    if not np.isfinite(peak):  # max propagates NaN, and inf is the max if present
+        raise DegenerateDescriptorError("cannot normalize a non-finite vector")
     w = v / peak
     return w / float(np.linalg.norm(w))
 
@@ -87,6 +91,9 @@ class LocalFeatureSet:
             raise ValueError(
                 f"descriptor count {self.descriptors.shape[0]} does not match {n} features"
             )
+        for name in ("coords", "scores", "descriptors"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if n and (self.scores < 0).any():
             raise ValueError("attention scores must be non-negative")
 

@@ -1,11 +1,12 @@
 """Incremental hierarchical navigable small-world graph over global descriptors.
 
-The index is append-only: every frame descriptor is assigned a random top
-layer with exponentially decaying probability, linked greedily layer by
-layer, and stays searchable forever.  Similarity between frames is the
-normalized scalar product (cosine); descriptors are unit-normalized once at
-insertion so the inner loops reduce to dot products, and the graph
-internally minimizes ``1 - cosine`` which is order-equivalent.
+The index is append-only and lives in memory for one run: every frame
+descriptor is assigned a random top layer with exponentially decaying
+probability, linked greedily layer by layer, and stays searchable until the
+run ends.  Similarity between frames is the normalized scalar product
+(cosine); descriptors are unit-normalized once at insertion so the inner
+loops reduce to dot products, and the graph internally minimizes
+``1 - cosine`` which is order-equivalent.
 
 Queries descend from the sparse top layers with a greedy beam of one, then
 run a best-first search with a dynamic candidate list of size ``ef`` on the
@@ -16,17 +17,13 @@ degree cap, ground layer allows ``2*M``).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .descriptors import l2_normalize
-
-INDEX_MAGIC = b"FHNW"
-INDEX_VERSION = 1
 
 
 class IndexAuditError(RuntimeError):
@@ -357,15 +354,6 @@ class HnswIndex:
 
     # -- integrity ----------------------------------------------------------------
 
-    def _layer_links(self, layer: int, levels: np.ndarray):
-        """One layer's nodes in row order with their degrees, and its links in
-        row order, each with its owner node and its position in the row."""
-        nodes = np.flatnonzero(levels >= layer)
-        counts = self._deg[layer][: nodes.shape[0]]
-        adj = self._adj[layer][: nodes.shape[0]]
-        row, pos = np.nonzero(np.arange(adj.shape[1]) < counts[:, None])
-        return nodes, counts, nodes[row], pos, adj[row, pos]
-
     def audit(self) -> None:
         """Verify structural invariants; raises :class:`IndexAuditError`.
 
@@ -386,7 +374,12 @@ class HnswIndex:
             idx = int(np.argmax(levels))
             raise IndexAuditError(f"node {idx} lacks adjacency for layers 0..{levels[idx]}")
         for layer in range(len(self._adj)):
-            nodes, counts, owners, _, links = self._layer_links(layer, levels)
+            # the layer's nodes in row order, their degrees, and every link in
+            # row order with its owner node
+            nodes = np.flatnonzero(levels >= layer)
+            counts = self._deg[layer][: nodes.shape[0]]
+            row, pos = np.nonzero(np.arange(self._adj[layer].shape[1]) < counts[:, None])
+            owners, links = nodes[row], self._adj[layer][row, pos]
             rows = self._rows[layer]
             if layer and list(rows.items()) != list(zip(nodes.tolist(), range(len(nodes)))):
                 raise IndexAuditError(f"layer {layer} rows do not list the nodes on it")
@@ -410,151 +403,3 @@ class HnswIndex:
                 raise IndexAuditError(
                     f"node {owners[k]} links to node {links[k]} above its top layer"
                 )
-
-    # -- snapshot -----------------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write a binary snapshot (little-endian) restorable by :meth:`load`."""
-        p = self.params
-        n = len(self._ids)
-        ids = np.array(self._ids, dtype=np.uint64)
-        levels = np.array(self._levels, dtype=np.int64)
-        table = np.empty(n, dtype=_node_dtype(self._dim))
-        table["id"], table["level"], table["vec"] = ids, levels, self._vectors[:n]
-
-        # one record per node and layer, node-major: a u32 degree, then its
-        # links as u64 frame ids; laid out here as little-endian u32 words
-        first = np.cumsum(levels + 1) - (levels + 1)  # record of (node, layer 0)
-        degrees = np.zeros(int((levels + 1).sum()), dtype=np.int64)
-        per_layer = [self._layer_links(layer, levels) for layer in range(len(self._adj))]
-        for layer, (nodes, counts, _, _, _) in enumerate(per_layer):
-            degrees[first[nodes] + layer] = counts
-        sizes = 1 + 2 * degrees
-        start = np.cumsum(sizes) - sizes
-        words = np.empty(int(sizes.sum()), dtype="<u4")
-        words[start] = degrees
-        for layer, (_, _, owners, pos, links) in enumerate(per_layer):
-            at = start[first[owners] + layer] + 1 + 2 * pos
-            words[at] = ids[links] & 0xFFFFFFFF
-            words[at + 1] = ids[links] >> 32
-
-        with open(path, "wb") as f:
-            f.write(INDEX_MAGIC)
-            f.write(
-                struct.pack(
-                    "<IIIIIdQIQ",
-                    INDEX_VERSION,
-                    p.M,
-                    p.M0,
-                    p.ef_construction,
-                    p.ef_search,
-                    p.level_lambda,
-                    p.rng_seed,
-                    self._dim,
-                    n,
-                )
-            )
-            entry_id = self._ids[self._entry] if self._entry is not None else 2**64 - 1
-            f.write(struct.pack("<Q", entry_id))
-            f.write(table.tobytes())
-            f.write(words.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "HnswIndex":
-        """Restore a snapshot; the result passes :meth:`audit` or loading fails."""
-
-        def read(f: BinaryIO, nbytes: int, what: str) -> bytes:
-            data = f.read(nbytes)
-            if len(data) != nbytes:
-                raise ValueError(f"truncated index snapshot while reading {what}")
-            return data
-
-        with open(path, "rb") as f:
-            if read(f, 4, "magic") != INDEX_MAGIC:
-                raise ValueError("bad index snapshot magic")
-            (version, M, M0, ef_c, ef_s, lam, seed, dim, count) = struct.unpack(
-                "<IIIIIdQIQ", read(f, struct.calcsize("<IIIIIdQIQ"), "header")
-            )
-            if version != INDEX_VERSION:
-                raise ValueError(f"unsupported index snapshot version {version}")
-            (entry_id,) = struct.unpack("<Q", read(f, 8, "entry point"))
-            params = HnswParams(M=M, ef_construction=ef_c, ef_search=ef_s, rng_seed=seed)
-            if (M0, lam) != (params.M0, params.level_lambda):
-                raise ValueError(
-                    f"snapshot header M0={M0} level_lambda={lam!r} do not match "
-                    f"M={M} (expected {params.M0} and {params.level_lambda!r})"
-                )
-            payload = f.read()
-
-        index = cls(dim, params)
-        node_dtype = _node_dtype(dim)
-        if len(payload) < count * node_dtype.itemsize:
-            raise ValueError("truncated index snapshot while reading the node table")
-        table = np.frombuffer(payload, dtype=node_dtype, count=count)
-        for fid, level, vec in zip(
-            table["id"].tolist(), table["level"].tolist(), table["vec"].astype(np.float32)
-        ):
-            if fid in index._id_to_idx:
-                raise ValueError(f"snapshot names frame {fid} twice")
-            index._append_node(fid, vec, level)
-
-        # walk the variable-length link records, one per node and layer
-        records, fids = [], []
-        at = count * node_dtype.itemsize
-        for idx, level in enumerate(index._levels):
-            for layer in range(level + 1):
-                if at + 4 > len(payload):
-                    raise ValueError(
-                        f"truncated index snapshot while reading node {idx} layer {layer} degree"
-                    )
-                (degree,) = struct.unpack_from("<I", payload, at)
-                at += 4
-                if at + 8 * degree > len(payload):
-                    raise ValueError(
-                        f"truncated index snapshot while reading node {idx} layer {layer} links"
-                    )
-                cap = params.M0 if layer == 0 else params.M
-                if degree > cap:
-                    raise IndexAuditError(
-                        f"node {idx} exceeds degree cap on layer {layer}: {degree} > {cap}"
-                    )
-                records.append((layer, degree))
-                fids.append(np.frombuffer(payload, dtype="<u8", count=degree, offset=at))
-                at += 8 * degree
-        if at != len(payload):
-            raise ValueError("trailing bytes after index snapshot payload")
-
-        if records:
-            fids = np.concatenate(fids)
-            known = np.array(index._ids, dtype=np.uint64)
-            order = np.argsort(known)
-            slot = np.minimum(np.searchsorted(known[order], fids), count - 1)
-            unknown = known[order][slot] != fids
-            if unknown.any():
-                raise ValueError(
-                    f"snapshot links reference unknown frame {fids[np.argmax(unknown)]}"
-                )
-            links = order[slot]
-            rec_layer, rec_degree = np.array(records, dtype=np.int64).T
-            link_layer = np.repeat(rec_layer, rec_degree)
-            for layer in range(len(index._adj)):
-                # a layer's records come in node order, which is its row order
-                counts = rec_degree[rec_layer == layer]
-                index._deg[layer][: counts.shape[0]] = counts
-                row, pos = np.nonzero(np.arange(index._adj[layer].shape[1]) < counts[:, None])
-                index._adj[layer][row, pos] = links[link_layer == layer]
-
-        if count:
-            index._max_level = max(index._levels)
-            if entry_id not in index._id_to_idx:
-                raise ValueError("snapshot entry point references unknown frame")
-            index._entry = index._id_to_idx[entry_id]
-        # fast-forward the level rng: one uniform draw was consumed per insert
-        index._rng.random(count)
-        index.audit()
-        return index
-
-
-def _node_dtype(dim: int) -> np.dtype:
-    """One node of a snapshot's node table: frame id, top layer, descriptor."""
-    return np.dtype([("id", "<u8"), ("level", "u1"), ("vec", "<f4", (dim,))])

@@ -37,8 +37,10 @@ class TestL2Normalize:
         np.testing.assert_allclose(l2_normalize([1, 0, 0]), [1, 0, 0])
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateDescriptorError):
-            l2_normalize([0.0, 0.0])
+        # and vectors with a NaN or an infinite entry, which would divide to NaNs
+        for bad in ([0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0]):
+            with pytest.raises(DegenerateDescriptorError):
+                l2_normalize(bad)
 
     @given(
         st.lists(
@@ -264,3 +266,10 @@ class TestInvariants:
     def test_feature_set_rejects_negative_scores(self):
         with pytest.raises(ValueError):
             feature_set([-1.0])
+        # and non-finite entries, which would otherwise fail deep inside RANSAC
+        good = feature_set([1.0, 2.0])
+        for name, at in (("coords", (0, 1)), ("scores", 1), ("descriptors", (1, 2))):
+            arrays = {k: getattr(good, k).copy() for k in ("coords", "scores", "descriptors")}
+            arrays[name][at] = math.inf if name == "scores" else math.nan
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                LocalFeatureSet(0, **arrays)

@@ -138,13 +138,17 @@ class TestProcessFrame:
         assert len(pipe.fifo) == cfg.n_non
         fifo, index_ids = list(pipe.fifo), pipe.index.frame_ids
         records, last = list(pipe.records), pipe._last_frame_id
-        with pytest.raises(DegenerateDescriptorError):
-            pipe.process_frame(25, np.zeros(16), LocalFeatureSet.empty(25, 4))
-        assert list(pipe.fifo) == fifo
-        assert pipe.index.frame_ids == index_ids
-        assert pipe.records == records
-        assert pipe._last_frame_id == last == 24
-        assert 25 not in pipe.locals_store
+        # and descriptors with a NaN or an infinite entry
+        for bad in (0.0, np.nan, np.inf):
+            g = np.zeros(16)
+            g[3] = bad
+            with pytest.raises(DegenerateDescriptorError):
+                pipe.process_frame(25, g, LocalFeatureSet.empty(25, 4))
+            assert list(pipe.fifo) == fifo
+            assert pipe.index.frame_ids == index_ids
+            assert pipe.records == records
+            assert pipe._last_frame_id == last == 24
+            assert 25 not in pipe.locals_store
 
     @pytest.mark.parametrize("named", ["locals", "global"])
     def test_feature_set_of_another_frame_rejected_before_any_state_changes(
