@@ -49,7 +49,7 @@ from .evaluation import (
 from .geometry import (
     DegenerateGeometryError,
     FundamentalMatrix,
-    Match,
+    Matches,
     VerificationResult,
     brute_force_match,
     eight_point,
@@ -94,7 +94,7 @@ __all__ = [
     "LocalFeatureSet",
     "LoopClosurePipeline",
     "LoopDetection",
-    "Match",
+    "Matches",
     "Neighbor",
     "OrderError",
     "PcaModel",

@@ -8,6 +8,7 @@ L2-normalize -> PCA project -> L2-renormalize reduction chain.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -62,11 +63,13 @@ class GlobalDescriptor:
         return self.values.shape[0]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LocalFeatureSet:
     """Ordered local features of one frame, stored column-wise for speed.
 
     ``coords`` is (n, 2), ``scores`` is (n,), ``descriptors`` is (n, d).
+    The set is frozen because it caches the squared descriptor norms that
+    matching reads, so ``descriptors`` must not be written in place either.
     """
 
     frame_id: int
@@ -77,25 +80,34 @@ class LocalFeatureSet:
     def __post_init__(self):
         if self.frame_id < 0:
             raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
-        self.coords = np.atleast_2d(np.asarray(self.coords))
-        self.scores = np.asarray(self.scores).reshape(-1)
-        self.descriptors = np.atleast_2d(np.asarray(self.descriptors))
-        n = self.scores.shape[0]
+        coords = np.atleast_2d(np.asarray(self.coords))
+        scores = np.asarray(self.scores).reshape(-1)
+        descriptors = np.atleast_2d(np.asarray(self.descriptors))
+        n = scores.shape[0]
         if n == 0:
-            self.coords = self.coords.reshape(0, 2)
-            if self.descriptors.size == 0 and self.descriptors.shape[0] != 0:
-                self.descriptors = self.descriptors.reshape(0, self.descriptors.shape[-1])
-        if self.coords.shape != (n, 2):
-            raise ValueError(f"coords must have shape ({n}, 2), got {self.coords.shape}")
-        if self.descriptors.shape[0] != n:
+            coords = coords.reshape(0, 2)
+            if descriptors.size == 0 and descriptors.shape[0] != 0:
+                descriptors = descriptors.reshape(0, descriptors.shape[-1])
+        if coords.shape != (n, 2):
+            raise ValueError(f"coords must have shape ({n}, 2), got {coords.shape}")
+        if descriptors.shape[0] != n:
             raise ValueError(
-                f"descriptor count {self.descriptors.shape[0]} does not match {n} features"
+                f"descriptor count {descriptors.shape[0]} does not match {n} features"
             )
-        for name in ("coords", "scores", "descriptors"):
-            if not np.isfinite(getattr(self, name)).all():
+        for name, arr in (("coords", coords), ("scores", scores), ("descriptors", descriptors)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if n and (self.scores < 0).any():
+            object.__setattr__(self, name, arr)
+        if n and (scores < 0).any():
             raise ValueError("attention scores must be non-negative")
+
+    @functools.cached_property
+    def _sq_norms(self) -> np.ndarray:
+        """Float64 squared descriptor norms, computed on first use.  A frame's
+        set is matched against every candidate and later stored as one, so
+        this runs once per frame."""
+        D = np.asarray(self.descriptors, dtype=np.float64)
+        return (D * D).sum(axis=1)
 
     @classmethod
     def empty(cls, frame_id: int, dim: int) -> "LocalFeatureSet":

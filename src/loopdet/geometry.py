@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +30,25 @@ class Match:
     idx_a: int
     idx_b: int
     dist: float
+
+
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """Accepted matches of one set pair as three aligned 1-d arrays, in
+    query order: ``idx_a[i]`` in the query set matches ``idx_b[i]`` in the
+    candidate set at distance ``dist[i]``.  ``len`` is the match count and
+    iterating yields :class:`Match` items."""
+
+    idx_a: np.ndarray
+    idx_b: np.ndarray
+    dist: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.idx_a)
+
+    def __iter__(self) -> Iterator[Match]:
+        for i, j, d in zip(self.idx_a.tolist(), self.idx_b.tolist(), self.dist.tolist()):
+            yield Match(i, j, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +76,11 @@ class VerificationResult:
         return len(self.inlier_indices)
 
 
-def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) -> list[Match]:
+# elements of a row block of the distance matrix (64 KiB of float64)
+_BLOCK_ELEMENTS = 8192
+
+
+def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) -> Matches:
     """Exhaustive nearest-neighbor matching with a distance-ratio check.
 
     For every feature of ``a`` the two nearest descriptors of ``b`` are
@@ -64,33 +88,46 @@ def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) ->
     ``d1 < epsilon * d2`` (strict).  A tie for the nearest goes to the lowest
     index of ``b``, and its tied twin is then the second nearest, so the
     feature is rejected.  Matching is one-directional (best match per query
-    feature).  Returns an empty list when ``b`` has fewer than two features,
+    feature).  Returns no matches when ``b`` has fewer than two features,
     since the ratio is then undefined.
+
+    Squared distances are ``|a|^2 + |b|^2 - 2 a.b`` in float64, with the
+    squared norms cached on each set, so a frame's norms are computed once
+    however many candidates it meets.  Rounding can make a distance slightly
+    negative; only the two picked per row are clamped at zero.  A row with
+    two or more entries at or below zero is rejected either way, and a row
+    with one picks it either way, so the result equals clamping the matrix.
     """
     if len(a) and len(b) and a.dim != b.dim:
         raise ValueError(f"descriptor dimension mismatch: {a.dim} vs {b.dim}")
     if len(a) == 0 or len(b) < 2:
-        return []
-    A = np.asarray(a.descriptors, dtype=np.float64)
-    B = np.asarray(b.descriptors, dtype=np.float64)
-    # |a|^2 + |b|^2 - 2 a.b, rounded in that order, with in-place steps
-    G = A @ B.T
-    G *= 2.0
-    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
-    d2 -= G
-    np.maximum(d2, 0.0, out=d2)
-    # two minimum passes instead of a sort: argmin keeps the first of tied
-    # minima, and once it is masked the row minimum is the second distance
-    rows = np.arange(A.shape[0])
+        none = np.empty(0, np.intp)
+        return Matches(none, none, np.empty(0))
+    # cast and double the query in one pass; scaling by two is exact, so
+    # (2A) B^T equals 2 (A B^T) bit for bit
+    A2 = np.multiply(a.descriptors, 2.0, dtype=np.float64)
+    d2 = A2 @ np.asarray(b.descriptors, dtype=np.float64).T
+    # d2 = (|a|^2 + |b|^2) - d2 in blocks of rows, which stay in cache.  The
+    # norm sums are products [|a|^2, 1] [1, |b|^2]^T: each entry adds two
+    # exact terms and zeros, so it rounds once, as a broadcast sum does, and
+    # a GEMM writes it faster than numpy broadcasts it
+    left = np.ones((d2.shape[0], 2))
+    left[:, 0] = a._sq_norms
+    right = np.ones((2, d2.shape[1]))
+    right[1] = b._sq_norms
+    step = max(1, _BLOCK_ELEMENTS // d2.shape[1])
+    for i in range(0, d2.shape[0], step):
+        block = d2[i : i + step]
+        np.subtract(left[i : i + step] @ right, block, out=block)
+    # two argmin passes instead of a sort: argmin keeps the first of tied
+    # minima, and once it is masked the next argmin finds the second distance
+    rows = np.arange(d2.shape[0])
     first = d2.argmin(axis=1)
-    d1 = np.sqrt(d2[rows, first])
+    d1 = np.sqrt(np.maximum(d2[rows, first], 0.0))
     d2[rows, first] = np.inf
-    dn2 = np.sqrt(d2.min(axis=1))
-    accepted = d1 < epsilon * dn2
-    return [
-        Match(int(i), int(first[i]), float(d1[i]))
-        for i in np.nonzero(accepted)[0]
-    ]
+    dn2 = np.sqrt(np.maximum(d2[rows, d2.argmin(axis=1)], 0.0))
+    accepted = (d1 < epsilon * dn2).nonzero()[0]
+    return Matches(accepted, first[accepted], d1[accepted])
 
 
 def _homogeneous(pts: np.ndarray) -> np.ndarray:
@@ -222,7 +259,7 @@ def _iterations_needed(inlier_fraction: float) -> int:
 
 
 def ransac_fundamental(
-    matches: list[Match],
+    matches: Matches,
     a: LocalFeatureSet,
     b: LocalFeatureSet,
     tau: int,
@@ -231,12 +268,15 @@ def ransac_fundamental(
 ) -> VerificationResult | None:
     """RANSAC fundamental-matrix estimation over matched keypoints.
 
-    Repeatedly fits the eight-point model on 8 sampled matches, keeps the
-    model with the most Sampson inliers below ``PX_THRESH`` pixels, adapts
-    the iteration budget (at most ``max_iters``) with the standard (1 - w^8)
-    formula at ``CONFIDENCE``, and refits on the final consensus set (kept
-    only if it does not lose inliers).  A degenerate sample still counts as
-    an iteration, and only a strictly greater inlier count replaces the best.
+    The keypoint pairs are gathered from ``a.coords`` and ``b.coords`` with
+    the index arrays of ``matches``, and ``inlier_indices`` are positions in
+    ``matches``.  Repeatedly fits the eight-point model on 8 sampled
+    matches, keeps the model with the most Sampson inliers below
+    ``PX_THRESH`` pixels, adapts the iteration budget (at most
+    ``max_iters``) with the standard (1 - w^8) formula at ``CONFIDENCE``,
+    and refits on the final consensus set (kept only if it does not lose
+    inliers).  A degenerate sample still counts as an iteration, and only a
+    strictly greater inlier count replaces the best.
 
     Hypotheses are drawn and solved in growing blocks (1, 2, 4, ...), then
     walked in draw order under those rules, so the result is identical to
@@ -250,8 +290,8 @@ def ransac_fundamental(
     m = len(matches)
     if m < 8:
         return None
-    pa = np.asarray(a.coords, dtype=np.float64)[[mt.idx_a for mt in matches]]
-    pb = np.asarray(b.coords, dtype=np.float64)[[mt.idx_b for mt in matches]]
+    pa = np.asarray(a.coords, dtype=np.float64)[matches.idx_a]
+    pb = np.asarray(b.coords, dtype=np.float64)[matches.idx_b]
     xa, xb = _homogeneous(pa), _homogeneous(pb)
 
     best_F: np.ndarray | None = None

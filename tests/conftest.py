@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopdet import EpipolarScene, LocalFeatureSet, Match
+from loopdet import EpipolarScene, LocalFeatureSet, Matches
 
 
 def unit_rows(rng, n, dim):
@@ -10,7 +10,8 @@ def unit_rows(rng, n, dim):
 
 
 def planted_matches(seed, n_matches=100, inlier_frac=0.7, sigma_px=0.0):
-    """Labeled match list from a random two-view scene.
+    """Labeled matches from a random two-view scene, match ``i`` pairing
+    feature ``i`` of both sets.
 
     Inlier pairs are exact projections (plus ``sigma_px`` noise on the second
     view); outlier pairs are sampled at least 15 px away from the planted
@@ -31,7 +32,7 @@ def planted_matches(seed, n_matches=100, inlier_frac=0.7, sigma_px=0.0):
     dummy = np.zeros((n_matches, 4))
     set_a = LocalFeatureSet(0, pa, np.ones(n_matches), dummy)
     set_b = LocalFeatureSet(1, pb, np.ones(n_matches), dummy)
-    matches = [Match(i, i, 0.0) for i in range(n_matches)]
+    matches = Matches(np.arange(n_matches), np.arange(n_matches), np.zeros(n_matches))
     mask = np.zeros(n_matches, dtype=bool)
     mask[:n_inl] = True
     return set_a, set_b, matches, mask, scene.F

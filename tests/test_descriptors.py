@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -273,3 +274,9 @@ class TestInvariants:
             arrays[name][at] = math.inf if name == "scores" else math.nan
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 LocalFeatureSet(0, **arrays)
+
+    def test_feature_set_is_frozen(self):
+        # matching caches the squared descriptor norms on the set
+        fs = feature_set([1.0, 2.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fs.descriptors = np.zeros((2, 4))

@@ -6,14 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loopdet.geometry as geometry
+import loopdet.pipeline as pipeline
 from loopdet import (
     DegenerateGeometryError,
     EpipolarScene,
+    FundamentalMatrix,
+    HnswParams,
     LocalFeatureSet,
-    Match,
+    Matches,
+    PipelineConfig,
+    RevisitSegment,
+    SynthConfig,
+    VerificationResult,
     brute_force_match,
     eight_point,
+    generate_synthetic,
     ransac_fundamental,
+    run_pipeline,
     sampson_distance,
 )
 from conftest import planted_matches, unit_rows
@@ -33,9 +42,10 @@ def descriptor_set(descriptors, frame_id=0, coords=None):
 
 
 def oracle_match(a, b, epsilon):
-    """Ratio test by a stable sort of every row of the distance matrix."""
+    """Ratio test by a stable sort of every row of the clamped distance
+    matrix, with the norms computed afresh on every call."""
     if len(a) == 0 or len(b) < 2:
-        return []
+        return Matches(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
     A = np.asarray(a.descriptors, dtype=np.float64)
     B = np.asarray(b.descriptors, dtype=np.float64)
     d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
@@ -45,7 +55,13 @@ def oracle_match(a, b, epsilon):
     d1 = np.sqrt(d2[rows, order[:, 0]])
     dn2 = np.sqrt(d2[rows, order[:, 1]])
     accepted = d1 < epsilon * dn2
-    return [Match(int(i), int(order[i, 0]), float(d1[i])) for i in np.nonzero(accepted)[0]]
+    return Matches(np.nonzero(accepted)[0], order[accepted, 0], d1[accepted])
+
+
+def assert_same_matches(got, expected):
+    assert np.array_equal(got.idx_a, expected.idx_a)
+    assert np.array_equal(got.idx_b, expected.idx_b)
+    assert got.dist.tobytes() == expected.dist.tobytes()
 
 
 def oracle_sampson(F, pa, pb):
@@ -162,7 +178,61 @@ class TestBitIdentity:
         if duplicate:
             A[::2] = B[rng.integers(0, nb, len(A[::2]))]
         a, b = descriptor_set(A), descriptor_set(B, 1)
-        assert brute_force_match(a, b, epsilon) == oracle_match(a, b, epsilon)
+        assert_same_matches(brute_force_match(a, b, epsilon), oracle_match(a, b, epsilon))
+
+    @staticmethod
+    def query_and_candidates(na, sizes, dim, seed, duplicate):
+        """A float32 query set and one float32 candidate set per size.  With
+        ``duplicate`` the first half of each candidate copies query rows in
+        equal pairs, so those rows have two squared distances that are zero
+        up to rounding, and rounding can put both below zero."""
+        rng = np.random.default_rng(seed)
+        A = unit_rows(rng, na, dim).astype(np.float32)
+        query = LocalFeatureSet(0, np.zeros((na, 2)), np.ones(na), A)
+        candidates = []
+        for k, nb in enumerate(sizes):
+            B = unit_rows(rng, nb, dim).astype(np.float32)
+            if duplicate:
+                B[: nb // 2] = A[rng.integers(0, na, nb // 2)]
+                B[1 : nb // 2 : 2] = B[0 : nb // 2 - 1 : 2]
+            candidates.append(LocalFeatureSet(k + 1, np.zeros((nb, 2)), np.ones(nb), B))
+        return query, candidates
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.5, 0.7, 0.95]),
+        st.booleans(),
+    )
+    @example(6, [8, 5, 12], 8, 7, 0.7, True)  # x86-64 OpenBLAS: a row with two below zero
+    @example(40, [300, 8193], 40, 3, 0.7, True)  # row blocks of 27 + 13 rows, then of 1 row
+    def test_one_query_against_many_candidates(self, na, sizes, dim, seed, epsilon, duplicate):
+        # the query's cached norms serve every candidate; the oracle
+        # computes all norms afresh
+        query, candidates = self.query_and_candidates(na, sizes, dim, seed, duplicate)
+        for cand in candidates:
+            assert_same_matches(
+                brute_force_match(query, cand, epsilon), oracle_match(query, cand, epsilon)
+            )
+        assert "_sq_norms" in vars(query)
+
+    def test_rows_with_negative_squared_distances(self):
+        # whatever the BLAS build rounds, setting the query's cached norm one
+        # ulp low puts the squared distance to each copy of it below zero
+        a = descriptor_set([[1.0, 0.0], [0.0, 1.0]])
+        vars(a)["_sq_norms"] = np.array([1.0 - 2.0**-52, 1.0])
+        assert a._sq_norms[0] + 1.0 - 2.0 < 0.0
+        twice = descriptor_set([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 1)
+        once = descriptor_set([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], 2)
+        # row 0: two entries below zero, rejected as a tie at zero
+        assert [(m.idx_a, m.idx_b) for m in brute_force_match(a, twice, 0.7)] == [(1, 2)]
+        # row 0: one entry below zero, matched at distance 0
+        assert list(brute_force_match(a, once, 0.7)) == [
+            geometry.Match(0, 1, 0.0), geometry.Match(1, 0, 0.0)
+        ]
 
     def test_ties_go_to_the_lowest_index(self):
         b = descriptor_set([[0.0], [1.0], [1.0], [3.0], [3.0]])
@@ -170,7 +240,7 @@ class TestBitIdentity:
         # a0 sits on the equal pair b1 = b2 and a2 next to it; a3 is equally
         # far from b1 to b4; a1's nearest is b0 and its second minima tie
         for eps in (0.7, 1.5):
-            assert brute_force_match(a, b, eps) == oracle_match(a, b, eps)
+            assert_same_matches(brute_force_match(a, b, eps), oracle_match(a, b, eps))
         assert [(m.idx_a, m.idx_b) for m in brute_force_match(a, b, 0.7)] == [(1, 0)]
         matches = brute_force_match(a, b, 1.5)
         assert [(m.idx_a, m.idx_b) for m in matches] == [(1, 0), (2, 1), (3, 1)]
@@ -223,6 +293,42 @@ class TestBitIdentity:
             assert result.inlier_indices == expected[1]
             assert np.array_equal(result.matrix.m, expected[0])
 
+    def test_pipeline_equals_oracle_verifier(self, monkeypatch):
+        # a revisit stream with 30% outlier features, run once as shipped and
+        # once with verification done by the oracles
+        dataset = generate_synthetic(SynthConfig(
+            n_frames=120, segments=(RevisitSegment(10, 60, 25),), dim_global=32,
+            features_per_frame=60, outlier_fraction=0.3, sigma_px=1.0,
+            sigma_desc=0.05, exclusion_zone=20, seed=5,
+        ))
+        config = PipelineConfig(
+            psi=2.0, phi=10.0, n=3, tau=10, delta=0.0, seed=1,
+            hnsw=HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1),
+        )
+
+        def outcome():
+            detections, pipe = run_pipeline(dataset.frames, config, 32)
+            records = [
+                (r.frame_id, r.matched_frame, r.inlier_count, np.float64(r.similarity).tobytes())
+                for r in pipe.records
+            ]
+            return records, [
+                (d.query_frame, d.matched_frame, d.inlier_count, d.matrix.m.tobytes())
+                for d in detections
+            ]
+
+        def oracle_verifier(matches, a, b, tau, rng):
+            found = oracle_ransac(matches, a, b, tau, rng)
+            if found is None:
+                return None
+            return VerificationResult(FundamentalMatrix(found[0]), found[1])
+
+        fast = outcome()
+        monkeypatch.setattr(pipeline, "brute_force_match", oracle_match)
+        monkeypatch.setattr(pipeline, "ransac_fundamental", oracle_verifier)
+        assert outcome() == fast
+        assert len(fast[1]) > 0 and any(r[2] >= 8 for r in fast[0])
+
     def test_early_exit_solves_one_hypothesis(self, monkeypatch):
         # a noiseless set reaches consensus on its first hypothesis; the only
         # other solve is the refit on all 50 matches
@@ -245,13 +351,13 @@ class TestBruteForceMatch:
         a = descriptor_set([[1, 0, 0, 0]])
         b = descriptor_set([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         matches = brute_force_match(a, b, 0.7)
-        assert matches == [Match(0, 0, 0.0)]
+        assert [(m.idx_a, m.idx_b, m.dist) for m in matches] == [(0, 0, 0.0)]
 
     def test_ratio_boundary_is_strict(self):
         # d1 = 0.7, d2 = 1.0: 0.7 < 0.7 * 1.0 is false -> rejected
         a = descriptor_set([[0.0]])
         b = descriptor_set([[0.7], [1.0]])
-        assert brute_force_match(a, b, 0.7) == []
+        assert len(brute_force_match(a, b, 0.7)) == 0
         assert len(brute_force_match(a, b, 0.71)) == 1
 
     def test_planted_correspondences_recovered(self, rng):
@@ -267,8 +373,8 @@ class TestBruteForceMatch:
 
     def test_small_candidate_set_yields_nothing(self):
         a = descriptor_set([[1, 0]])
-        assert brute_force_match(a, descriptor_set([[1, 0]]), 0.7) == []
-        assert brute_force_match(a, LocalFeatureSet.empty(1, 2), 0.7) == []
+        assert len(brute_force_match(a, descriptor_set([[1, 0]]), 0.7)) == 0
+        assert len(brute_force_match(a, LocalFeatureSet.empty(1, 2), 0.7)) == 0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -277,9 +383,8 @@ class TestBruteForceMatch:
     def test_each_query_feature_matches_at_most_once(self, rng):
         a = descriptor_set(unit_rows(rng, 30, 8))
         b = descriptor_set(unit_rows(rng, 50, 8))
-        matches = brute_force_match(a, b, 0.95)
-        idx_a = [m.idx_a for m in matches]
-        assert len(idx_a) == len(set(idx_a))
+        idx_a = brute_force_match(a, b, 0.95).idx_a
+        assert len(idx_a) == len(set(idx_a.tolist()))
 
     def test_match_set_grows_with_epsilon(self, rng):
         for seed in range(10):
@@ -417,8 +522,8 @@ class TestRansac:
             seed=7, n_matches=80, inlier_frac=0.8, sigma_px=1.0
         )
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(3))
-        pa = a.coords[[m.idx_a for m in matches]]
-        pb = b.coords[[m.idx_b for m in matches]]
+        pa = a.coords[matches.idx_a]
+        pb = b.coords[matches.idx_b]
         errs = sampson_distance(result.matrix, pa, pb)
         assert (errs[list(result.inlier_indices)] < 3.0).all()
 
@@ -443,6 +548,6 @@ class TestRansac:
         rng = np.random.default_rng(seed)
         a = LocalFeatureSet(0, rng.uniform(0, [1280, 960], (m, 2)), np.ones(m), np.zeros((m, 4)))
         b = LocalFeatureSet(1, rng.uniform(0, [1280, 960], (m, 2)), np.ones(m), np.zeros((m, 4)))
-        matches = [Match(i, i, 0.0) for i in range(m)]
+        matches = Matches(np.arange(m), np.arange(m), np.zeros(m))
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(seed))
         assert result is None or result.inlier_count >= 12

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import loopdet.pipeline as pipeline
 from loopdet import (
     DegenerateDescriptorError,
     EpipolarScene,
     GlobalDescriptor,
+    HnswIndex,
     HnswParams,
     LocalFeatureSet,
     LoopClosurePipeline,
@@ -326,6 +328,45 @@ class TestVerifyCandidates:
             rec = pipe.records[-1]
             assert (rec.matched_frame, rec.inlier_count) == (7, 20)
             assert (detection is not None) == fires
+
+
+class TestVerificationCalls:
+    def test_matcher_and_ransac_run_once_per_candidate(self, monkeypatch):
+        # perfbench's tracer wraps these two names in loopdet.pipeline, and
+        # reads a call's match count with len()
+        searches, matched, verified = [], [], []
+        knn = HnswIndex.knn_search
+        match, ransac = pipeline.brute_force_match, pipeline.ransac_fundamental
+
+        def counted_knn(index, query, k, ef=None):
+            result = knn(index, query, k, ef)
+            searches.append(result)
+            return result
+
+        def counted_match(a, b, epsilon):
+            result = match(a, b, epsilon)
+            assert len(result) == len(list(result)) == result.idx_a.size == result.dist.size
+            matched.append((a.frame_id, b.frame_id, len(result)))
+            return result
+
+        def counted_ransac(matches, a, b, tau, rng):
+            verified.append((a.frame_id, b.frame_id, len(matches)))
+            return ransac(matches, a, b, tau, rng)
+
+        monkeypatch.setattr(HnswIndex, "knn_search", counted_knn)
+        monkeypatch.setattr(pipeline, "brute_force_match", counted_match)
+        monkeypatch.setattr(pipeline, "ransac_fundamental", counted_ransac)
+        ds = small_revisit_dataset(outlier_fraction=0.3)
+        pipe = LoopClosurePipeline(tiny_config(), 32)
+        expected = []
+        for frame_id, g, locals_ in ds.frames:
+            searched = len(searches)
+            pipe.process_frame(frame_id, g, locals_)
+            for found in searches[searched:]:
+                expected += [(frame_id, nb.frame_id) for nb in found]
+        assert [(q, c) for q, c, _ in matched] == expected
+        assert verified == [call for call in matched if call[2] >= 8]
+        assert 0 < len(verified) < len(matched)
 
 
 class TestReplay:
