@@ -280,41 +280,54 @@ class HnswIndex:
     def _search_layer(
         self, q: np.ndarray, entry_points: list[int], layer: int, ef: int
     ) -> list[tuple[float, int]]:
-        """Best-first search on one layer; returns (dist, idx) sorted ascending."""
-        visited = np.zeros(len(self._ids), dtype=bool)
-        visited[entry_points] = True
-        d0 = 1.0 - self._vectors[entry_points] @ q
+        """Best-first search on one layer; returns (dist, idx) sorted ascending.
+
+        Fresh neighbors need no vectorized prefilter against the worst result
+        before the loop: once ``results`` holds ``ef`` items its worst distance
+        can only fall, so every neighbor such a filter would drop fails the
+        loop's ``dist < worst`` test too.  An expanded node costs numpy call
+        overhead on at most ``2M`` elements, not arithmetic, so the loop makes
+        as few numpy calls per node as it can.
+        """
+        vectors = self._vectors
+        unvisited = np.ones(len(self._ids), dtype=bool)
+        unvisited[entry_points] = False
+        d0 = 1.0 - vectors[entry_points] @ q
         candidates = list(zip(d0.tolist(), entry_points))
         heapify(candidates)
         results = [(-d, i) for d, i in candidates]
         heapify(results)
         while len(results) > ef:
             heappop(results)
+        full = len(results) == ef
+        worst = -results[0][0]  # read only once full
 
         adj, deg, rows = self._adj[layer], self._deg[layer], self._rows[layer]
         while candidates:
             d, c = heappop(candidates)
-            if d > -results[0][0] and len(results) >= ef:
+            if full and d > worst:
                 break
             r = rows[c] if layer else c  # _row inlined: this runs per expanded node
             nbrs = adj[r, : deg[r]]
-            if nbrs.shape[0] == 0:
+            fresh = nbrs[unvisited[nbrs]]
+            if not len(fresh):
                 continue
-            fresh = nbrs[~visited[nbrs]]
-            if fresh.shape[0] == 0:
-                continue
-            visited[fresh] = True
-            dd = 1.0 - self._vectors[fresh] @ q
-            if len(results) >= ef:
-                closer = dd < -results[0][0]
-                dd, fresh = dd[closer], fresh[closer]
+            unvisited[fresh] = False
+            # the fresh rows only: sgemv over every row would cost O(N) per
+            # search and round some rows differently (by their block position)
+            dd = vectors.take(fresh, axis=0) @ q
+            np.subtract(1.0, dd, out=dd)
             for dist, i in zip(dd.tolist(), fresh.tolist()):
-                if len(results) < ef:
+                if full:
+                    if dist < worst:
+                        heapreplace(results, (-dist, i))
+                        heappush(candidates, (dist, i))
+                        worst = -results[0][0]
+                else:
                     heappush(results, (-dist, i))
                     heappush(candidates, (dist, i))
-                elif dist < -results[0][0]:
-                    heapreplace(results, (-dist, i))
-                    heappush(candidates, (dist, i))
+                    full = len(results) == ef
+                    worst = -results[0][0]
         return sorted((-nd, i) for nd, i in results)
 
     def _descend(self, q: np.ndarray, level: int) -> list[int]:
@@ -345,9 +358,12 @@ class HnswIndex:
         q = q64.astype(np.float32)
         found = self._search_layer(q, self._descend(q, 0), 0, ef)[:k]
 
+        # one float64 cast for the k rows, then one 1-d dot per row: a
+        # matrix-vector product would round some similarities differently
+        rows = self._vectors[[i for _, i in found]].astype(np.float64)
         out = []
-        for _, i in found:
-            sim = float(np.dot(self._vectors[i].astype(np.float64), q64))
+        for (_, i), row in zip(found, rows):
+            sim = float(np.dot(row, q64))
             out.append(Neighbor(self._ids[i], min(1.0, max(-1.0, sim))))
         out.sort(key=lambda nb: (-nb.similarity, nb.frame_id))
         return out

@@ -166,6 +166,7 @@ class LoopClosurePipeline:
         self.records: list[FrameRecord] = []
         self._temporal = TemporalFilter(config.beta, config.window)
         self._last_frame_id: int | None = None
+        self._local_dim: int | None = None  # of the first non-empty stored set
 
     def searchable_region(self) -> tuple[int, int] | None:
         """Contiguous frame-id range currently in the index, or None."""
@@ -205,6 +206,14 @@ class LoopClosurePipeline:
         t0 = time.perf_counter()
         kept = filter_by_score(locals_, cfg.delta)
         stages["feature_ingestion"] = time.perf_counter() - t0
+        # checked before the FIFO or the index changes: verification would
+        # raise on it only after the oldest queued frame had moved into the
+        # index.  An empty set matches any dimension, as in brute_force_match.
+        if len(kept) and self._local_dim not in (None, kept.dim):
+            raise ValueError(
+                f"frame {frame_id}: local descriptor dimension {kept.dim} "
+                f"does not match {self._local_dim}"
+            )
 
         if len(self.fifo) == cfg.n_non:
             old_id, old_vec = self.fifo.popleft()
@@ -235,6 +244,8 @@ class LoopClosurePipeline:
 
         self.fifo.append((frame_id, unit))
         self.locals_store[frame_id] = kept
+        if self._local_dim is None and len(kept):
+            self._local_dim = kept.dim
         self._last_frame_id = frame_id
         stages["whole_system"] = time.perf_counter() - t_start
         self.records.append(record)

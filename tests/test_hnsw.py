@@ -440,18 +440,59 @@ class TestBitIdentity:
         elif kind == "lattice":
             vectors = rng.choice([-2.0, -1.0, 1.0, 2.0], (n, dim))
         params = HnswParams(M=M, ef_construction=ef_c, ef_search=8, rng_seed=seed % 1000)
-        index, oracle = HnswIndex(dim, params), OracleIndex(dim, params)
+        index, oracle = self.build_both(vectors, params)
+        for q in rng.standard_normal((5, dim)):
+            assert index.knn_search(q, min(5, n), ef=8) == oracle.knn_search(q, min(5, n), 8)
+
+    @staticmethod
+    def build_both(vectors, params):
+        """The index and the oracle after the same inserts; their graphs are equal."""
+        index, oracle = HnswIndex(vectors.shape[1], params), OracleIndex(vectors.shape[1], params)
         for i, v in enumerate(vectors):
             index.insert(i, v)
             oracle.insert(i, v)
-
         assert index._levels == oracle._levels
         assert index._entry == oracle._entry
         for idx, layers in enumerate(oracle._links):
             for layer, nbrs in enumerate(layers):
                 assert index._neighbors(idx, layer).tolist() == nbrs.tolist()
-        for q in rng.standard_normal((5, dim)):
-            assert index.knn_search(q, min(5, n), ef=8) == oracle.knn_search(q, min(5, n), 8)
+        return index, oracle
+
+    def test_pipeline_params_at_256d_equal_oracle(self):
+        # the pipeline's dimension and HnswParams(): the float32 gathers and
+        # matrix-vector products, and the float64 similarity dots, run on
+        # OpenBLAS's blocked paths, which the <=16-d examples never reach
+        rng = np.random.default_rng(11)
+        index, oracle = self.build_both(rng.standard_normal((300, 256)), HnswParams())
+        for q in rng.standard_normal((20, 256)):
+            assert index.knn_search(q, 5) == oracle.knn_search(q, 5, HnswParams().ef_search)
+
+    @pytest.mark.parametrize("case", ["entry_points_over_ef", "ef_over_layer", "linkless_nodes"])
+    def test_search_layer_equals_oracle(self, case):
+        rng = np.random.default_rng(3)
+        params = HnswParams(M=3, ef_construction=8, ef_search=8, rng_seed=3)
+        index, oracle = self.build_both(rng.standard_normal((200, 8)), params)
+        queries = [l2_normalize(q).astype(np.float32) for q in rng.standard_normal((5, 8))]
+        if case == "entry_points_over_ef":
+            searches = [(rng.choice(200, 30, replace=False).tolist(), 0, 5)]
+        elif case == "ef_over_layer":
+            # results never fill: the walk returns every node it reaches
+            searches = [([0], 0, 250), ([index._entry], 1, len(index._rows[1]) + 1)]
+        else:
+            # a node alone on an upper layer has no links there
+            upper = [
+                (idx, layer) for layer in range(1, len(index._adj)) for idx in index._rows[layer]
+            ]
+            assert any(index._neighbors(idx, layer).shape[0] == 0 for idx, layer in upper)
+            searches = [([idx], layer, 4) for idx, layer in upper]
+        for q in queries:
+            for entry_points, layer, ef in searches:
+                got = index._search_layer(q, entry_points, layer, ef)
+                assert got == oracle._search_layer(q, entry_points, layer, ef)
+                if case == "entry_points_over_ef":
+                    assert len(got) == ef
+                elif case == "ef_over_layer":
+                    assert len(got) < ef
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -174,6 +174,35 @@ class TestProcessFrame:
         assert 25 not in pipe.locals_store
         pipe.process_frame(25, GlobalDescriptor(25, v), LocalFeatureSet.empty(25, 4))
 
+    def test_local_dimension_change_rejected_before_any_state_changes(self, rng):
+        cfg = tiny_config(psi=1.0, phi=2.0)  # N_non = 2
+
+        def frame(fid, local_dim, count=10):
+            coords = rng.uniform(0.0, 640.0, (count, 2))
+            lf = LocalFeatureSet(
+                fid, coords, np.ones(count), rng.standard_normal((count, local_dim))
+            )
+            return fid, unit_rows(rng, 1, 16)[0], lf
+
+        pipe = LoopClosurePipeline(cfg, 16)
+        # an empty set matches any dimension; the first non-empty one sets it
+        pipe.process_frame(*frame(0, 4, count=0))
+        for fid in range(1, 6):
+            pipe.process_frame(*frame(fid, 16))
+        assert len(pipe.fifo) == cfg.n_non == 2
+        fifo, index_ids = [fid for fid, _ in pipe.fifo], pipe.index.frame_ids
+        stored, records, last = list(pipe.locals_store), list(pipe.records), pipe._last_frame_id
+        with pytest.raises(ValueError, match="local descriptor dimension 12 does not match 16"):
+            pipe.process_frame(*frame(6, 12))
+        assert [fid for fid, _ in pipe.fifo] == fifo
+        assert pipe.index.frame_ids == index_ids
+        assert list(pipe.locals_store) == stored
+        assert pipe.records == records
+        assert pipe._last_frame_id == last == 5
+        pipe.process_frame(*frame(6, 16))
+        pipe.process_frame(*frame(7, 12, count=0))
+        assert pipe._last_frame_id == 7 and len(pipe.fifo) == 2
+
     def test_detection_starts_on_second_revisit_frame(self):
         # beta = 2: the streak-leading revisit frame is never reported
         ds = small_revisit_dataset()
