@@ -141,11 +141,14 @@ def _sampson_stack(F: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     epipolar gradient is all zero."""
     la = xa @ F.transpose(0, 2, 1)  # rows: F x1
     lb = xb @ F  # rows: F^T x2
-    e = np.einsum("kij,kij->ki", np.broadcast_to(xb, la.shape), la)
-    den = la[..., 0] ** 2 + la[..., 1] ** 2 + lb[..., 0] ** 2 + lb[..., 1] ** 2
-    return np.divide(
-        np.abs(e), np.sqrt(den), out=np.full(den.shape, np.inf), where=den > 0.0
-    )
+    e = np.abs(np.einsum("kij,ij->ki", la, xb))
+    # the gradient norm: the four squares summed left to right, in place
+    den = np.square(la[..., 0])
+    den += np.square(la[..., 1])
+    den += np.square(lb[..., 0])
+    den += np.square(lb[..., 1])
+    np.sqrt(den, out=den)
+    return np.divide(e, den, out=np.full(den.shape, np.inf), where=den > 0.0)
 
 
 def sampson_distance(F, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
@@ -178,13 +181,34 @@ def _hartley_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return T, centered * s[:, None, None], coincident
 
 
+def _null_vectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit null vectors of a ``(K, n, 9)`` stack of design matrices, n >= 8,
+    and the ``(K,)`` mask of stacks with rank < 8.
+
+    A minimal sample (n == 8) takes the last column of the complete QR of
+    ``A^T``, which is orthogonal to its eight rows; the sample is rank
+    deficient when ``min|diag R| <= 1e-10 max|diag R|`` or diag R is all
+    zero.  Larger sets need the least-squares solution, the right singular
+    vector of the smallest singular value, and are rank deficient when
+    ``S[7] <= 1e-10 S[0]`` or ``S[0] == 0``.
+    """
+    if A.shape[1] == 8:
+        Q, R = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
+        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        top = d.max(axis=1)
+        return Q[..., -1], (top == 0.0) | (d.min(axis=1) <= top * 1e-10)
+    _, S, Vt = np.linalg.svd(A, full_matrices=False)
+    return Vt[:, -1], (S[:, 0] == 0.0) | (S[:, 7] <= S[:, 0] * 1e-10)
+
+
 def _eight_point_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eight-point fits of a ``(K, n, 2)`` stack of point-set pairs, n >= 8.
 
     Returns the ``(K, 3, 3)`` matrices and the ``(K,)`` mask of valid fits:
     False where either set's points coincide or the design matrix has
-    rank < 8, and the matrix is then meaningless.  Each step works per
-    matrix, so a fit does not depend on the rest of the stack.
+    rank < 8 (by the tests of :func:`_null_vectors`), and the matrix is
+    then meaningless.  Each step works per matrix, so a fit does not depend
+    on the rest of the stack.
     """
     K, n = pa.shape[:2]
     T, normed, coincident = _hartley_stack(np.concatenate([pa, pb]))
@@ -195,10 +219,8 @@ def _eight_point_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     A = np.stack(
         [x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, np.ones((K, n))], axis=-1
     )
-    # Vt must be 9 x 9; the thin form gives the same S and Vt when n >= 9
-    _, S, Vt = np.linalg.svd(A, full_matrices=n < 9)
-    rank_deficient = (S[:, 0] == 0.0) | (S[:, 7] <= S[:, 0] * 1e-10)
-    F = Vt[:, -1].reshape(K, 3, 3)
+    null, rank_deficient = _null_vectors(A)
+    F = null.reshape(K, 3, 3)
 
     U, s, Vt2 = np.linalg.svd(F)
     s[:, 2] = 0.0
@@ -216,14 +238,19 @@ def _eight_point_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
 def eight_point(points_a, points_b) -> FundamentalMatrix:
     """Normalized eight-point estimate of F with x_b^T F x_a = 0.
 
-    Hartley-normalizes both point sets, solves the epipolar system in the
-    least-squares sense, enforces rank 2 by truncating the smallest singular
-    value, denormalizes, and scales to unit Frobenius norm with a canonical
-    sign (largest-magnitude entry positive).
+    Hartley-normalizes both point sets and solves the epipolar system: on
+    exactly 8 correspondences for the null vector of the design matrix, by
+    complete QR; on more, in the least-squares sense, by SVD.  Then enforces
+    rank 2 by truncating the smallest singular value, denormalizes, and
+    scales to unit Frobenius norm with a canonical sign (largest-magnitude
+    entry positive).
 
     Raises ``ValueError`` for fewer than 8 correspondences and
     :class:`DegenerateGeometryError` when either point set coincides or the
-    design matrix has rank < 8.
+    design matrix has rank < 8: on 8 points when the smallest ``|diag R|``
+    of the QR is at most 1e-10 of the largest (or all are zero), on more
+    when the eighth singular value is at most 1e-10 of the first (or the
+    first is zero).
     """
     pa = np.asarray(points_a, dtype=np.float64).reshape(-1, 2)
     pb = np.asarray(points_b, dtype=np.float64).reshape(-1, 2)
@@ -244,8 +271,27 @@ def eight_point(points_a, points_b) -> FundamentalMatrix:
 # the adaptive iteration budget
 PX_THRESH = 3.0
 CONFIDENCE = 0.99
-# RANSAC solves hypotheses in blocks of 1, 2, 4, ... up to this many
+# RANSAC solves its first hypothesis alone, then blocks of up to this many
 _MAX_BLOCK = 32
+
+
+def _draw_samples(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """``k`` uniform 8-subsets of ``range(m)``, m >= 8, one sorted row each,
+    from one ``rng.random((k, 8))`` draw.
+
+    Floyd's algorithm, run on all rows at once: at step ``s``, with
+    ``j = m - 8 + s``, the row picks ``floor(u * (j + 1))`` unless it holds
+    that value already, and ``j`` then.  Row ``i`` depends only on the
+    ``i``-th eight uniforms, so ``k`` rows equal ``k`` one-row draws in turn.
+    """
+    # column s holds floor(u * (j + 1)) for j = m - 8 + s; u < 1 and
+    # j + 1 < 2**53, so the product rounds below j + 1 and the floor is at most j
+    picked = (rng.random((k, 8)) * np.arange(m - 7, m + 1)).astype(np.intp)
+    for s in range(1, 8):
+        taken = (picked[:, :s] == picked[:, s, None]).any(axis=1)
+        picked[taken, s] = m - 8 + s
+    picked.sort(axis=1)
+    return picked
 
 
 def _iterations_needed(inlier_fraction: float) -> int:
@@ -278,11 +324,17 @@ def ransac_fundamental(
     inliers).  A degenerate sample still counts as an iteration, and only a
     strictly greater inlier count replaces the best.
 
-    Hypotheses are drawn and solved in growing blocks (1, 2, 4, ...), then
-    walked in draw order under those rules, so the result is identical to
-    solving them one at a time; a call whose first hypothesis meets the
-    budget solves just that one.  The last block may draw samples that the
-    budget leaves unused, so ``rng`` can end up further advanced.
+    Hypothesis ``i`` is the sorted 8-subset that Floyd's algorithm maps
+    the ``i``-th eight uniforms of ``rng`` to (:func:`_draw_samples`), and
+    is solved by the eight-point QR null vector, flagged degenerate by its
+    ``|diag R|`` test; the refit on more points keeps the SVD.  Hypotheses
+    are drawn and solved in blocks, the first hypothesis alone and then up
+    to 32 at a time but never past the current budget, and walked in draw
+    order under those rules, so the result does not depend on the block
+    sizes: it equals drawing and solving them one at a time.  A call whose
+    first hypothesis meets the budget solves just that one.  A block may
+    draw samples that a budget lowered inside it leaves unused, so ``rng``
+    can end up further advanced.
 
     Returns ``None`` - failure, not a fault - when fewer than 8 matches are
     available or no model reaches ``tau`` inliers.
@@ -301,10 +353,8 @@ def ransac_fundamental(
     i = 0
     block = 1
     while i < budget:
-        samples = np.stack(
-            [rng.choice(m, size=8, replace=False) for _ in range(min(block, budget - i))]
-        )
-        block = min(2 * block, _MAX_BLOCK)
+        samples = _draw_samples(rng, m, min(block, budget - i))
+        block = _MAX_BLOCK
         Fs, valid = _eight_point_stack(pa[samples], pb[samples])
         masks = _sampson_stack(Fs, xa, xb) < PX_THRESH
         counts = masks.sum(axis=1)

@@ -35,9 +35,9 @@ def descriptor_set(descriptors, frame_id=0, coords=None):
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the one-at-a-time implementation that the two-pass ratio test and
-# the block-batched RANSAC replaced.  The fast code must match them bit for
-# bit, on whatever numpy and LAPACK build runs the suite.
+# Oracles: one-at-a-time implementations of the ratio test, the eight-point
+# solver and RANSAC's draw-solve-score loop.  The fast code must match them
+# bit for bit, on whatever numpy and LAPACK build runs the suite.
 # ---------------------------------------------------------------------------
 
 
@@ -88,17 +88,32 @@ def oracle_hartley(pts):
     return T, centered * s
 
 
-def oracle_eight_point(pa, pb):
-    """One 3x3 matrix per call, with a full SVD of the design matrix."""
+def oracle_design(pa, pb):
+    """Hartley transforms of both sets and the (n, 9) design matrix."""
     Ta, na = oracle_hartley(pa)
     Tb, nb = oracle_hartley(pb)
     x1, y1 = na[:, 0], na[:, 1]
     x2, y2 = nb[:, 0], nb[:, 1]
     A = np.column_stack([x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, np.ones(len(pa))])
-    _, S, Vt = np.linalg.svd(A)
-    if S[0] == 0.0 or S[7] <= S[0] * 1e-10:
-        raise DegenerateGeometryError("degenerate point configuration (rank < 8)")
-    F = Vt[-1].reshape(3, 3)
+    return Ta, Tb, A
+
+
+def oracle_eight_point(pa, pb):
+    """One 3x3 matrix per call: on 8 points the null vector is the last
+    column of the complete QR of the transposed design matrix, on more the
+    last right singular vector of its full SVD."""
+    Ta, Tb, A = oracle_design(pa, pb)
+    if len(pa) == 8:
+        Q, R = np.linalg.qr(A.T, mode="complete")
+        d = np.abs(np.diag(R))
+        if d.max() == 0.0 or d.min() <= d.max() * 1e-10:
+            raise DegenerateGeometryError("degenerate point configuration (rank < 8)")
+        F = Q[:, -1].reshape(3, 3)
+    else:
+        _, S, Vt = np.linalg.svd(A)
+        if S[0] == 0.0 or S[7] <= S[0] * 1e-10:
+            raise DegenerateGeometryError("degenerate point configuration (rank < 8)")
+        F = Vt[-1].reshape(3, 3)
     U, s, Vt2 = np.linalg.svd(F)
     s[2] = 0.0
     F = Tb.T @ ((U * s) @ Vt2) @ Ta
@@ -106,8 +121,19 @@ def oracle_eight_point(pa, pb):
     return -F if F.flat[np.abs(F).argmax()] < 0 else F
 
 
+def oracle_sample(u, m):
+    """Floyd's algorithm on eight uniforms: a sorted 8-subset of range(m)."""
+    picked = []
+    for s in range(8):
+        j = m - 8 + s
+        t = int(u[s] * (j + 1))
+        picked.append(j if t in picked else t)
+    return np.array(sorted(picked))
+
+
 def oracle_ransac(matches, a, b, tau, rng, max_iters=500):
-    """Sequential RANSAC: one draw, one solve and one score per iteration."""
+    """Sequential RANSAC: one ``rng.random(8)`` draw, one solve and one
+    score per iteration."""
     m = len(matches)
     if m < 8:
         return None
@@ -117,7 +143,7 @@ def oracle_ransac(matches, a, b, tau, rng, max_iters=500):
     budget, i = max_iters, 0
     while i < budget:
         i += 1
-        sample = rng.choice(m, size=8, replace=False)
+        sample = oracle_sample(rng.random(8), m)
         try:
             F = oracle_eight_point(pa[sample], pb[sample])
         except DegenerateGeometryError:
@@ -253,6 +279,7 @@ class TestBitIdentity:
     )
     @example(8, 0, True)  # all eight points coincide
     @example(9, 3, True)
+    @example(8, 1, False)  # a minimal sample, solved by QR
     def test_eight_point_equals_oracle(self, n, seed, duplicate):
         rng = np.random.default_rng(seed)
         pa = rng.uniform(0, [1280, 960], (n, 2))
@@ -282,7 +309,8 @@ class TestBitIdentity:
     @example(60, 0.3, 2, True)
     @example(300, 0.0, 3, False)  # the full budget
     @example(30, 1.0, 8, False)  # the budget ends inside a block that holds
-    @example(150, 0.7, 25, False)  # a later hypothesis with more inliers
+    @example(150, 0.7, 34, False)  # a later hypothesis with more inliers
+    @example(150, 0.7, 25, False)  # ... and one whose later ones have no more
     def test_ransac_equals_sequential_oracle(self, m, inlier_frac, seed, duplicate):
         a, b, matches = match_set(m, inlier_frac, seed, duplicate)
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(seed))
@@ -329,6 +357,26 @@ class TestBitIdentity:
         assert outcome() == fast
         assert len(fast[1]) > 0 and any(r[2] >= 8 for r in fast[0])
 
+    @pytest.mark.parametrize("m, inlier_frac, seed, duplicate", [
+        (300, 0.0, 3, False),  # the full budget of 500
+        (60, 0.3, 2, True),  # degenerate samples among valid ones
+        (30, 1.0, 8, False),  # the budget ends inside a block
+        (150, 0.7, 34, False),
+    ])
+    def test_result_does_not_depend_on_block_size(
+        self, monkeypatch, m, inlier_frac, seed, duplicate
+    ):
+        a, b, matches = match_set(m, inlier_frac, seed, duplicate)
+
+        def run():
+            r = ransac_fundamental(matches, a, b, 12, np.random.default_rng(seed))
+            return r.inlier_indices, r.matrix.m.tobytes()
+
+        shipped = run()
+        for max_block in (1, 512):
+            monkeypatch.setattr(geometry, "_MAX_BLOCK", max_block)
+            assert run() == shipped
+
     def test_early_exit_solves_one_hypothesis(self, monkeypatch):
         # a noiseless set reaches consensus on its first hypothesis; the only
         # other solve is the refit on all 50 matches
@@ -344,6 +392,47 @@ class TestBitIdentity:
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(1))
         assert result.inlier_count == 50
         assert solves == [(1, 8), (1, 50)]
+
+
+class FixedUniforms:
+    """Stands in for a generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+class TestDrawSamples:
+    @pytest.mark.parametrize("m", [8, 9, 10, 300, 3000])
+    def test_rows_are_sorted_distinct_and_in_range(self, m):
+        for rng in (np.random.default_rng(m), FixedUniforms(0.0), FixedUniforms(1 - 2**-53)):
+            rows = geometry._draw_samples(rng, m, 1000)
+            assert rows.shape == (1000, 8)
+            assert (np.diff(rows, axis=1) > 0).all()
+            assert rows.min() >= 0 and rows.max() < m
+
+    def test_largest_uniform_picks_the_top_of_each_range(self):
+        # floor(u * (j + 1)) = j at every step, so the row is m-8 .. m-1
+        for m in (8, 20, 2**40):
+            rows = geometry._draw_samples(FixedUniforms(1 - 2**-53), m, 1)
+            assert rows.tolist() == [list(range(m - 8, m))]
+
+    @pytest.mark.parametrize("m", [8, 12, 300])
+    def test_rows_equal_one_draw_each(self, m):
+        rows = geometry._draw_samples(np.random.default_rng(m), m, 50)
+        rng = np.random.default_rng(m)
+        for row in rows:
+            assert row.tolist() == oracle_sample(rng.random(8), m).tolist()
+
+    def test_every_subset_is_equally_likely(self):
+        # 45 subsets of 8 from 10, 10,000 expected draws each: a standard
+        # deviation of 99, so +-5% is five of them
+        rows = geometry._draw_samples(np.random.default_rng(0), 10, 450_000)
+        _, counts = np.unique((1 << rows).sum(axis=1), return_counts=True)
+        assert len(counts) == 45
+        assert np.abs(counts - 10_000).max() <= 500
 
 
 class TestBruteForceMatch:
@@ -464,6 +553,36 @@ class TestEightPoint:
         pb = np.column_stack([110 + 40 * t, 190 + 20 * t])
         with pytest.raises(DegenerateGeometryError):
             eight_point(pa, pb)
+
+    def test_qr_null_vector_matches_svd(self):
+        rng = np.random.default_rng(0)
+        A = np.stack([
+            oracle_design(rng.uniform(0, [1280, 960], (8, 2)), rng.uniform(0, [1280, 960], (8, 2)))[2]
+            for _ in range(200)
+        ])
+        null, rank_deficient = geometry._null_vectors(A)
+        assert not rank_deficient.any()
+        svd_null = np.linalg.svd(A)[2][:, -1]
+        cos = np.abs((null * svd_null).sum(axis=1))
+        assert cos.min() >= 1 - 1e-12
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_degenerate_samples_are_flagged(self, n):
+        rng = np.random.default_rng(n)
+        pa = rng.uniform(0, [1280, 960], (4, n, 2))
+        pb = rng.uniform(0, [1280, 960], (4, n, 2))
+        pa[1] = pa[1, 0]  # coincident in the first view
+        t = np.linspace(0, 1, n)  # both views on a line: rank <= 3
+        pa[2] = np.column_stack([100 + 50 * t, 200 + 30 * t])
+        pb[2] = np.column_stack([110 + 40 * t, 190 + 20 * t])
+        # four copies of one correspondence: n - 3 distinct rows, rank < 8
+        pa[3, n - 3:] = pa[3, 0]
+        pb[3, n - 3:] = pb[3, 0]
+        _, valid = geometry._eight_point_stack(pa, pb)
+        assert valid.tolist() == [True, False, False, False]
+        for k in (1, 2, 3):
+            with pytest.raises(DegenerateGeometryError):
+                eight_point(pa[k], pb[k])
 
     def test_too_few_points_rejected(self, rng):
         scene = EpipolarScene(rng)
