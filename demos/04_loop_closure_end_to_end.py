@@ -48,10 +48,10 @@ dataset = generate_synthetic(
     )
 )
 print(f"trajectory: {len(dataset.frames)} frames, "
-      f"{dataset.ground_truth.positive_queries} labeled loop events")
+      f"{len(dataset.ground_truth.pairs)} labeled loop events")
 
 t0 = time.perf_counter()
-detections, pipeline = run_pipeline(dataset.frames, config, dataset.dim_global)
+detections, pipeline = run_pipeline(dataset.frames, config, dataset.config.dim_global)
 elapsed = time.perf_counter() - t0
 print(f"processed at {elapsed / len(dataset.frames) * 1e3:.2f} ms/frame, "
       f"{len(detections)} loop closures reported")
@@ -64,7 +64,8 @@ first = detections[0]
 print(f"first detection: frame {first.query_frame} -> {first.matched_frame} "
       f"({first.inlier_count} inliers, similarity {first.similarity:.4f})")
 
-tp, fp, fn = score(detections, dataset.ground_truth, window=0)
+pairs = [(d.query_frame, d.matched_frame) for d in detections]
+tp, fp, fn = score(pairs, dataset.ground_truth, window=0)
 print(f"\nat tau={config.tau}: tp={tp} fp={fp} fn={fn} "
       f"(precision {tp / (tp + fp):.3f}, recall {tp / (tp + fn):.3f})")
 

@@ -123,9 +123,6 @@ class RunConfig:
             if (v := getattr(self, f.name)) is not None
         ]
 
-    def to_text(self) -> str:
-        return "".join(f"{k}={v}\n" for k, v in self.items())
-
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -280,7 +277,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sigma_global=args.sigma_global,
         sigma_px=args.sigma_px,
         sigma_desc=args.sigma_desc,
-        exclusion_zone=int(round(cfg.psi * phi)),
+        exclusion_zone=PipelineConfig(psi=cfg.psi, phi=phi).n_non,
         seed=cfg.seed,
     )
     dataset = generate_synthetic(synth_cfg)
@@ -314,7 +311,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     exact = evaluation.exact_knn(data, queries, k)
 
     # each sweep varies the run's graph settings in the named fields; queries
-    # search at the swept graph's ef_search
+    # search with the swept graph's default beam, max(ef_search, k)
     for name, values, fields in (
         ("ef", args.ef_list, ("ef_construction", "ef_search")),
         ("M", args.m_list, ("M",)),
@@ -329,8 +326,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     index.insert(i, v)
                 insert_ms = (time.perf_counter() - t0) * 1e3 / len(data)
                 t0 = time.perf_counter()
-                ef = max(params.ef_search, k)
-                found = [index.knn_search(q, k, ef=ef) for q in queries]
+                found = [index.knn_search(q, k) for q in queries]
                 query_ms = (time.perf_counter() - t0) * 1e3 / len(queries)
                 recall = evaluation.mean_recall([[nb.frame_id for nb in row] for row in found],
                                                 exact)
@@ -338,7 +334,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # timing and n sweep run on a planted synthetic trajectory
     n_frames = args.bench_frames
-    exclusion = int(round(cfg.psi * phi))
+    exclusion = pipe_cfg.n_non
     seg_len = max(10, n_frames // 20)
     origin = max(1, n_frames // 10)
     revisit = origin + exclusion + seg_len

@@ -204,6 +204,11 @@ def write_features(
         dim_local = frames[0][2].descriptors.shape[1] if dim_local is None else dim_local
     elif dim_global is None or dim_local is None:
         raise ValueError("dim_global and dim_local are required for an empty container")
+    if dim_global < 1 or dim_local < 1:  # the reader rejects such a header
+        raise ValueError(
+            f"descriptor dimensions must be positive, got dim_global={dim_global} "
+            f"dim_local={dim_local}"
+        )
     if phi <= 0 or not np.isfinite(phi):
         raise ValueError(f"phi must be positive and finite, got {phi}")
     for frame_id, g, locals_ in frames:

@@ -84,10 +84,6 @@ class LocalFeatureSet:
         scores = np.asarray(self.scores).reshape(-1)
         descriptors = np.atleast_2d(np.asarray(self.descriptors))
         n = scores.shape[0]
-        if n == 0:
-            coords = coords.reshape(0, 2)
-            if descriptors.size == 0 and descriptors.shape[0] != 0:
-                descriptors = descriptors.reshape(0, descriptors.shape[-1])
         if coords.shape != (n, 2):
             raise ValueError(f"coords must have shape ({n}, 2), got {coords.shape}")
         if descriptors.shape[0] != n:

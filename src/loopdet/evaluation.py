@@ -56,19 +56,12 @@ class GroundTruth:
                 if q not in self.frames or not ms <= self.frames:
                     raise ValueError(f"ground-truth pair for query {q} references unknown frames")
 
-    @property
-    def positive_queries(self) -> int:
-        return len(self.pairs)
 
-
-def _detection_pair(det) -> tuple[int, int]:
-    if isinstance(det, (tuple, list)):
-        return int(det[0]), int(det[1])
-    return int(det.query_frame), int(det.matched_frame)
-
-
-def score(detections: Iterable, gt: GroundTruth, window: int = 10) -> tuple[int, int, int]:
-    """Count (tp, fp, fn) for a detection list against labeled loops.
+def score(
+    detections: Iterable[Sequence[int]], gt: GroundTruth, window: int = 10
+) -> tuple[int, int, int]:
+    """Count (tp, fp, fn) for ``(query, matched, ...)`` detection tuples
+    against labeled loops.
 
     A detection is a true positive iff its query is a labeled query and its
     matched frame lies within ``window`` of some labeled match for that
@@ -79,8 +72,7 @@ def score(detections: Iterable, gt: GroundTruth, window: int = 10) -> tuple[int,
     tp = 0
     fp = 0
     hit_queries: set[int] = set()
-    for det in detections:
-        q, m = _detection_pair(det)
+    for q, m, *_ in detections:
         if gt.frames is not None and (q not in gt.frames or m not in gt.frames):
             raise ValueError(f"detection ({q}, {m}) references unknown frames")
         accepted = gt.pairs.get(q)
@@ -93,7 +85,7 @@ def score(detections: Iterable, gt: GroundTruth, window: int = 10) -> tuple[int,
     return tp, fp, fn
 
 
-def read_ground_truth(path, frames: frozenset[int] | None = None) -> GroundTruth:
+def read_ground_truth(path) -> GroundTruth:
     """Parse ``query_frame,matched_frame`` CSV lines; '#' starts a comment."""
     pairs: dict[int, set[int]] = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -106,7 +98,7 @@ def read_ground_truth(path, frames: frozenset[int] | None = None) -> GroundTruth
                 raise ValueError(f"{path}:{lineno}: expected 'query_frame,matched_frame'")
             q, m = int(parts[0]), int(parts[1])
             pairs.setdefault(q, set()).add(m)
-    return GroundTruth({q: frozenset(ms) for q, ms in pairs.items()}, frames)
+    return GroundTruth({q: frozenset(ms) for q, ms in pairs.items()})
 
 
 def write_ground_truth(path, gt: GroundTruth) -> None:
@@ -239,6 +231,12 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
+        if self.dim_global < 1:
+            raise ValueError(f"dim_global must be >= 1, got {self.dim_global}")
+        if self.dim_local < 1:
+            raise ValueError(f"dim_local must be >= 1, got {self.dim_local}")
+        if self.features_per_frame < 0:
+            raise ValueError(f"features_per_frame must be >= 0, got {self.features_per_frame}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
         spans = []
@@ -268,7 +266,6 @@ class PlantedLoop:
     origin_frame: int
     fundamental: np.ndarray
     inlier_count: int
-    outlier_count: int
 
 
 @dataclass(eq=False)
@@ -277,14 +274,6 @@ class SyntheticDataset:
     ground_truth: GroundTruth
     planted: dict[int, PlantedLoop]
     config: SynthConfig
-
-    @property
-    def dim_global(self) -> int:
-        return self.config.dim_global
-
-    @property
-    def dim_local(self) -> int:
-        return self.config.dim_local
 
 
 class EpipolarScene:
@@ -319,14 +308,27 @@ class EpipolarScene:
         Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
         return Rz @ Ry @ Rx
 
-    def correspondences(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample n 3-D points visible in both views; returns exact pixel pairs."""
-        w, h = IMAGE_SIZE
+    @staticmethod
+    def _accepted_pairs(n: int, draw) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``n`` accepted pairs of ``draw(batch) -> (xa, xb, ok)``,
+        drawn in batches of twice the shortfall (at least 16) until ``n``
+        are accepted."""
         pts_a = np.empty((n, 2))
         pts_b = np.empty((n, 2))
         got = 0
         while got < n:
-            batch = max(2 * (n - got), 16)
+            xa, xb, ok = draw(max(2 * (n - got), 16))
+            take = min(int(ok.sum()), n - got)
+            pts_a[got : got + take] = xa[ok][:take]
+            pts_b[got : got + take] = xb[ok][:take]
+            got += take
+        return pts_a, pts_b
+
+    def correspondences(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sample n 3-D points visible in both views; returns exact pixel pairs."""
+        w, h = IMAGE_SIZE
+
+        def draw(batch):
             X = np.column_stack(
                 [
                     self._rng.uniform(-4.0, 4.0, batch),
@@ -345,33 +347,25 @@ class EpipolarScene:
                 & (xa[:, 0] >= 0) & (xa[:, 0] < w) & (xa[:, 1] >= 0) & (xa[:, 1] < h)
                 & (xb[:, 0] >= 0) & (xb[:, 0] < w) & (xb[:, 1] >= 0) & (xb[:, 1] < h)
             )
-            take = min(int(ok.sum()), n - got)
-            pts_a[got : got + take] = xa[ok][:take]
-            pts_b[got : got + take] = xb[ok][:take]
-            got += take
-        return pts_a, pts_b
+            return xa, xb, ok
+
+        return self._accepted_pairs(n, draw)
 
     def outlier_pairs(self, n: int, min_sampson: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
         """Uniform point pairs rejection-sampled away from the epipolar
         constraint, so outlier labels are geometrically meaningful."""
         w, h = IMAGE_SIZE
-        pts_a = np.empty((n, 2))
-        pts_b = np.empty((n, 2))
-        got = 0
-        while got < n:
-            batch = max(2 * (n - got), 16)
+
+        def draw(batch):
             xa = np.column_stack(
                 [self._rng.uniform(0, w, batch), self._rng.uniform(0, h, batch)]
             )
             xb = np.column_stack(
                 [self._rng.uniform(0, w, batch), self._rng.uniform(0, h, batch)]
             )
-            ok = sampson_distance(self.F, xa, xb) >= min_sampson
-            take = min(int(ok.sum()), n - got)
-            pts_a[got : got + take] = xa[ok][:take]
-            pts_b[got : got + take] = xb[ok][:take]
-            got += take
-        return pts_a, pts_b
+            return xa, xb, sampson_distance(self.F, xa, xb) >= min_sampson
+
+        return self._accepted_pairs(n, draw)
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -452,7 +446,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
             )
             locals_[partner] = origin_set
             locals_[i] = query_set
-            planted[i] = PlantedLoop(i, partner, scene.F, n_inl, n_out)
+            planted[i] = PlantedLoop(i, partner, scene.F, n_inl)
             gt_pairs[i] = frozenset([partner])
         elif kind == "origin":
             pass  # filled in by the matching revisit frame above or below

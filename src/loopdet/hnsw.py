@@ -157,9 +157,6 @@ class HnswIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, frame_id: int) -> bool:
-        return frame_id in self._id_to_idx
-
     @property
     def dim(self) -> int:
         return self._dim
@@ -343,15 +340,15 @@ class HnswIndex:
 
         Returns ``min(k, len(index))`` neighbors sorted by similarity
         descending, ties broken by smaller frame id.  ``ef`` (default
-        ``params.ef_search``) controls the ground-layer beam width and must
-        be at least ``k``.
+        ``max(params.ef_search, k)``) controls the ground-layer beam width
+        and must be at least ``k``.
         """
         if len(self._ids) == 0:
             raise ValueError("cannot search an empty index")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if ef is None:
-            ef = self.params.ef_search
+            ef = max(self.params.ef_search, k)
         if ef < k:
             raise ValueError(f"ef ({ef}) must be >= k ({k})")
         q64 = self._unit(query)

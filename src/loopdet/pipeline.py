@@ -176,7 +176,7 @@ class LoopClosurePipeline:
         return ids[0], ids[-1]
 
     def process_frame(
-        self, frame_id: int, g: GlobalDescriptor | np.ndarray, locals_: LocalFeatureSet
+        self, frame_id: int, g: GlobalDescriptor, locals_: LocalFeatureSet
     ) -> LoopDetection | None:
         """Run one step of the detection loop; returns a loop event or None."""
         t_start = time.perf_counter()
@@ -188,13 +188,11 @@ class LoopClosurePipeline:
         # verification seeds RANSAC with the feature set's id, the store files
         # it under frame_id: the two must agree
         for part in (g, locals_):
-            if isinstance(part, (GlobalDescriptor, LocalFeatureSet)) and part.frame_id != frame_id:
+            if part.frame_id != frame_id:
                 raise ValueError(
                     f"frame {frame_id}: {type(part).__name__} names frame {part.frame_id}"
                 )
-        vec = np.asarray(
-            g.values if isinstance(g, GlobalDescriptor) else g, dtype=np.float64
-        ).reshape(-1)
+        vec = np.asarray(g.values, dtype=np.float64)
         if vec.shape[0] != self.index.dim:
             raise ValueError(
                 f"descriptor dimension {vec.shape[0]} does not match index dim {self.index.dim}"
@@ -224,11 +222,9 @@ class LoopClosurePipeline:
         best = None
         if len(self.index) > 0:
             t0 = time.perf_counter()
-            candidates = self.index.knn_search(
-                vec, k=cfg.n, ef=max(cfg.hnsw.ef_search, cfg.n)
-            )
+            candidates = self.index.knn_search(vec, cfg.n)
             stages["graph_searching"] = time.perf_counter() - t0
-            best = self.verify_candidates(kept, candidates, stages=stages)
+            best = self.verify_candidates(kept, candidates, stages)
         matched, inliers, sim = None, -1, float("nan")
         if best is not None:
             matched, result, sim = best
@@ -255,7 +251,7 @@ class LoopClosurePipeline:
         self,
         query_locals: LocalFeatureSet,
         candidates: Sequence[Neighbor],
-        stages: dict[str, float] | None = None,
+        stages: dict[str, float],
     ) -> tuple[int, VerificationResult, float] | None:
         """Geometrically verify retrieval candidates; keep the max-inlier one.
 
@@ -263,8 +259,9 @@ class LoopClosurePipeline:
         break, and only a strictly greater inlier count displaces the
         incumbent, so ties resolve to the higher-similarity candidate.  RANSAC
         runs with no inlier threshold; ``tau`` is applied later, by the gate.
-        Returns ``(frame_id, result, similarity)``, or None if no candidate
-        has 8 matches and a model.
+        Matching and RANSAC time accumulate in ``stages``.  Returns
+        ``(frame_id, result, similarity)``, or None if no candidate has 8
+        matches and a model.
         """
         cfg = self.config
         best: tuple[int, VerificationResult, float] | None = None
@@ -275,8 +272,7 @@ class LoopClosurePipeline:
                 continue
             t0 = time.perf_counter()
             matches = brute_force_match(query_locals, cand_locals, cfg.epsilon)
-            if stages is not None:
-                stages["feature_matching"] += time.perf_counter() - t0
+            stages["feature_matching"] += time.perf_counter() - t0
             if len(matches) < 8:
                 continue
             t0 = time.perf_counter()
@@ -287,8 +283,7 @@ class LoopClosurePipeline:
                 0,
                 _candidate_rng(cfg.seed, query_locals.frame_id, cand.frame_id),
             )
-            if stages is not None:
-                stages["ransac"] += time.perf_counter() - t0
+            stages["ransac"] += time.perf_counter() - t0
             if result is not None and result.inlier_count > best_inliers:
                 best = (cand.frame_id, result, cand.similarity)
                 best_inliers = result.inlier_count
@@ -296,7 +291,7 @@ class LoopClosurePipeline:
 
 
 def run_pipeline(
-    frames: Iterable[tuple[int, GlobalDescriptor | np.ndarray, LocalFeatureSet]],
+    frames: Iterable[tuple[int, GlobalDescriptor, LocalFeatureSet]],
     config: PipelineConfig,
     dim: int,
 ) -> tuple[list[LoopDetection], LoopClosurePipeline]:
@@ -334,7 +329,7 @@ def replay_detections(
 
 
 def collect_frame_records(
-    frames: Iterable[tuple[int, GlobalDescriptor | np.ndarray, LocalFeatureSet]],
+    frames: Iterable[tuple[int, GlobalDescriptor, LocalFeatureSet]],
     config: PipelineConfig,
     dim: int,
 ) -> tuple[list[FrameRecord], LoopClosurePipeline]:

@@ -47,7 +47,8 @@ DETECT_FLAGS = ["--psi", 2, "--phi", 10, "--n", 3, "--M", 8,
 class TestRunConfig:
     def test_text_round_trip(self):
         cfg = RunConfig(psi=12.5, n=7, tau_range=(2, 30, 4), features="a.fftc")
-        assert RunConfig.from_text(cfg.to_text()) == cfg
+        text = "".join(f"{k}={v}\n" for k, v in cfg.items())
+        assert RunConfig.from_text(text) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -173,7 +174,7 @@ class TestInvariantViolation:
         from loopdet import FundamentalMatrix, VerificationResult
         from loopdet.pipeline import LoopClosurePipeline
 
-        def verify(self, query_locals, candidates, stages=None):
+        def verify(self, query_locals, candidates, stages):
             result = VerificationResult(FundamentalMatrix(np.eye(3)), tuple(range(20)))
             return query_locals.frame_id - 1, result, 1.0
 
@@ -249,6 +250,22 @@ class TestSynth:
         code = run(["synth", "--frames", 80, "--segments", "5:10:10",
                     "--psi", 2, "--phi", 10, "--out", tmp_path / "x.fftc"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--psi", -5, "--phi", 10],  # the exclusion zone every pipeline subcommand rejects
+        ["--dim-global", 0],
+        ["--dim-local", 0],
+        ["--features-per-frame", -3],
+    ])
+    def test_invalid_stream_exits_1_without_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.fftc"
+        capsys.readouterr()
+        assert run(["synth", "--frames", 50, "--out", out, "--gt", tmp_path / "gt.csv"]
+                   + argv) == 1
+        err = capsys.readouterr().err
+        assert len([ln for ln in err.splitlines() if ln.startswith("error")]) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_echo_holds_own_flags_in_their_flag_form(self, tmp_path, capsys):
         argv = ["synth", "--frames", 40, "--segments", "1:22:4,8:30:4", "--dim-global", 8,

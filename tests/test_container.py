@@ -113,6 +113,19 @@ class TestWriterValidation:
         with pytest.raises(ValueError):
             write_features(tmp_path / "f.fftc", [], phi=10.0)
 
+    def test_non_positive_dims_rejected_before_write(self, tmp_path):
+        # the reader rejects a header with a zero dimension, so the writer must too
+        path = tmp_path / "f.fftc"
+        g = GlobalDescriptor(0, np.ones(4, dtype=np.float32))
+        for frames, dims in (
+            ([], dict(dim_global=0, dim_local=3)),
+            ([], dict(dim_global=4, dim_local=0)),
+            ([(0, g, LocalFeatureSet.empty(0, 0))], {}),
+        ):
+            with pytest.raises(ValueError, match="dimensions must be positive"):
+                write_features(path, frames, phi=10.0, **dims)
+            assert not path.exists()
+
     def test_bad_phi_rejected(self, tmp_path, rng):
         with pytest.raises(ValueError, match="phi"):
             write_features(tmp_path / "f.fftc", make_frames(rng), phi=0.0)

@@ -275,6 +275,14 @@ class TestInvariants:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 LocalFeatureSet(0, **arrays)
 
+    def test_malformed_empty_set_rejected(self):
+        # an empty set still needs (0, 2) coords and (0, d) descriptors
+        for coords, descriptors in (([], np.zeros((0, 4))), (np.zeros((0, 3)), np.zeros((0, 4))),
+                                    (np.zeros((0, 2)), [])):
+            with pytest.raises(ValueError):
+                LocalFeatureSet(0, coords, [], descriptors)
+        assert LocalFeatureSet(0, np.zeros((0, 2)), [], np.zeros((0, 4))).dim == 4
+
     def test_feature_set_is_frozen(self):
         # matching caches the squared descriptor norms on the set
         fs = feature_set([1.0, 2.0])

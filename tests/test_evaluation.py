@@ -83,7 +83,7 @@ class TestScore:
         detections = [(i, i + 50) for i in range(5)] + [(i, 0) for i in range(30, 35)]
         tp, fp, fn = score(detections, gt, window=0)
         assert tp + fp == len(detections)
-        assert tp + fn == gt.positive_queries
+        assert tp + fn == len(gt.pairs)
 
 
 class TestGroundTruthCsv:
@@ -247,6 +247,13 @@ class TestGenerator:
                 exclusion_zone=20,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim_global", 0), ("dim_local", 0), ("features_per_frame", -3),
+    ])
+    def test_bad_size_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SynthConfig(n_frames=10, **{field: value})
+
     def test_deterministic_per_seed(self):
         a = revisit_dataset(seed=9)
         b = revisit_dataset(seed=9)
@@ -268,7 +275,7 @@ class TestGenerator:
 
 
 def timed_records(ds, cfg):
-    _, pipeline = run_pipeline(ds.frames, cfg, ds.dim_global)
+    _, pipeline = run_pipeline(ds.frames, cfg, ds.config.dim_global)
     return pipeline.records
 
 

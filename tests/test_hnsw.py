@@ -224,7 +224,7 @@ class TestInsert:
     def test_first_insert_becomes_entry(self, rng):
         index = HnswIndex(4, SMALL)
         index.insert(3, [1.0, 0.0, 0.0, 0.0])
-        assert len(index) == 1 and 3 in index
+        assert index.frame_ids == [3]
         index.audit()
         res = index.knn_search([1.0, 0.0, 0.0, 0.0], 1, ef=1)
         assert res == [Neighbor(3, 1.0)]
@@ -311,6 +311,14 @@ class TestKnnSearch:
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             HnswIndex(4).knn_search(np.ones(4), 1)
+
+    def test_default_beam_widens_to_k(self, rng):
+        # k above SMALL.ef_search (32): without ef the beam is max(ef_search, k);
+        # an explicit ef below k still raises (test_ef_below_k_rejected)
+        index = build_index(unit_rows(rng, 40, 8))
+        q = unit_rows(rng, 1, 8)[0]
+        assert len(index.knn_search(q, 36)) == 36
+        assert len(index.knn_search(q, 50)) == 40
 
     def test_ef_below_k_rejected(self, rng):
         index = build_index(unit_rows(rng, 10, 8))

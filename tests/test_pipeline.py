@@ -37,7 +37,7 @@ def drifting_frames(rng, count, dim=16):
     frames = []
     v = unit_rows(rng, 1, dim)[0]
     for i in range(count):
-        frames.append((i, v.astype(np.float32), LocalFeatureSet.empty(i, 4)))
+        frames.append((i, GlobalDescriptor(i, v.astype(np.float32)), LocalFeatureSet.empty(i, 4)))
         w = unit_rows(rng, 1, dim)[0]
         v = 0.97 * v + 0.243 * w
         v /= np.linalg.norm(v)
@@ -122,15 +122,15 @@ class TestProcessFrame:
     def test_monotonic_frame_ids_enforced(self, rng):
         cfg = tiny_config()
         pipe = LoopClosurePipeline(cfg, 16)
-        v = unit_rows(rng, 1, 16)[0]
-        pipe.process_frame(5, v, LocalFeatureSet.empty(5, 4))
+        g = GlobalDescriptor(5, unit_rows(rng, 1, 16)[0])
+        pipe.process_frame(5, g, LocalFeatureSet.empty(5, 4))
         with pytest.raises(ValueError, match="increasing"):
-            pipe.process_frame(5, v, LocalFeatureSet.empty(5, 4))
+            pipe.process_frame(5, g, LocalFeatureSet.empty(5, 4))
 
     def test_dimension_mismatch_rejected(self, rng):
         pipe = LoopClosurePipeline(tiny_config(), 16)
         with pytest.raises(ValueError, match="dimension"):
-            pipe.process_frame(0, np.ones(8), LocalFeatureSet.empty(0, 4))
+            pipe.process_frame(0, GlobalDescriptor(0, np.ones(8)), LocalFeatureSet.empty(0, 4))
 
     def test_zero_descriptor_rejected_before_any_state_changes(self, rng):
         cfg = tiny_config()  # N_non = 20
@@ -145,7 +145,7 @@ class TestProcessFrame:
             g = np.zeros(16)
             g[3] = bad
             with pytest.raises(DegenerateDescriptorError):
-                pipe.process_frame(25, g, LocalFeatureSet.empty(25, 4))
+                pipe.process_frame(25, GlobalDescriptor(25, g), LocalFeatureSet.empty(25, 4))
             assert list(pipe.fifo) == fifo
             assert pipe.index.frame_ids == index_ids
             assert pipe.records == records
@@ -182,7 +182,7 @@ class TestProcessFrame:
             lf = LocalFeatureSet(
                 fid, coords, np.ones(count), rng.standard_normal((count, local_dim))
             )
-            return fid, unit_rows(rng, 1, 16)[0], lf
+            return fid, GlobalDescriptor(fid, unit_rows(rng, 1, 16)[0]), lf
 
         pipe = LoopClosurePipeline(cfg, 16)
         # an empty set matches any dimension; the first non-empty one sets it
@@ -275,7 +275,7 @@ class TestSearchableRegion:
     def run_empty_frames(self, count, cfg, dim=8):
         rng = np.random.default_rng(0)
         frames = [
-            (i, unit_rows(rng, 1, dim)[0], LocalFeatureSet.empty(i, 4))
+            (i, GlobalDescriptor(i, unit_rows(rng, 1, dim)[0]), LocalFeatureSet.empty(i, 4))
             for i in range(count)
         ]
         _, pipe = run_pipeline(frames, cfg, dim)
@@ -294,6 +294,10 @@ class TestSearchableRegion:
         pipe = self.run_empty_frames(10, cfg)
         assert cfg.n_non == 1
         assert pipe.searchable_region() == (0, 8)  # all but frame 9 itself
+
+
+def verify(pipe, query, candidates):
+    return pipe.verify_candidates(query, candidates, dict.fromkeys(pipeline.STAGES, 0.0))
 
 
 class TestVerifyCandidates:
@@ -315,14 +319,14 @@ class TestVerifyCandidates:
         pipe.locals_store[7] = junk
         query = LocalFeatureSet(99, rng.uniform(0, 100, (20, 2)), np.full(20, 50.0),
                                 unit_rows(rng, 20, 40))
-        assert pipe.verify_candidates(query, [Neighbor(7, 0.9)]) is None
+        assert verify(pipe, query, [Neighbor(7, 0.9)]) is None
 
     def test_single_verified_candidate_wins(self, rng):
         pipe = self.build()
         cand, pb, desc = self.planted_candidate(rng, 7, 40)
         pipe.locals_store[7] = cand
         query = LocalFeatureSet(99, pb, np.full(40, 50.0), desc)
-        frame, result, sim = pipe.verify_candidates(query, [Neighbor(7, 0.9)])
+        frame, result, sim = verify(pipe, query, [Neighbor(7, 0.9)])
         assert frame == 7 and result.inlier_count == 40
 
     def test_highest_inlier_candidate_selected(self, rng):
@@ -338,9 +342,7 @@ class TestVerifyCandidates:
             np.full(55, 50.0),
             np.vstack([desc_a, desc_b]),
         )
-        frame, result, _ = pipe.verify_candidates(
-            query, [Neighbor(7, 0.99), Neighbor(8, 0.98)]
-        )
+        frame, result, _ = verify(pipe, query, [Neighbor(7, 0.99), Neighbor(8, 0.98)])
         assert frame == 8
         assert result.inlier_count == 35
 
@@ -351,9 +353,11 @@ class TestVerifyCandidates:
             rng = np.random.default_rng(0)
             pipe = LoopClosurePipeline(tiny_config(psi=0.1, tau=tau, beta=1, n=5), 16)
             cand, pb, desc = self.planted_candidate(rng, 7, 20)
-            g = unit_rows(rng, 1, 16)[0]
-            assert pipe.process_frame(7, g, cand) is None
-            detection = pipe.process_frame(99, g, LocalFeatureSet(99, pb, np.full(20, 50.0), desc))
+            v = unit_rows(rng, 1, 16)[0]
+            assert pipe.process_frame(7, GlobalDescriptor(7, v), cand) is None
+            detection = pipe.process_frame(
+                99, GlobalDescriptor(99, v), LocalFeatureSet(99, pb, np.full(20, 50.0), desc)
+            )
             rec = pipe.records[-1]
             assert (rec.matched_frame, rec.inlier_count) == (7, 20)
             assert (detection is not None) == fires
