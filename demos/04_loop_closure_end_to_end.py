@@ -3,7 +3,8 @@
 A 1,200-frame trajectory revisits two of its earlier stretches.  Frames are
 fed to the online pipeline one at a time by ``run_pipeline``; the FIFO queue
 holds the latest psi * phi frames out of the index so a query can never
-match its immediate past.  Detections require beta consecutive geometrically verified frames.
+match its immediate past.  Detections require beta consecutive geometrically
+verified frames; each one is the FrameRecord of the frame that closed the loop.
 A final threshold sweep shows the precision/recall trade-off.
 """
 
@@ -56,9 +57,8 @@ elapsed = time.perf_counter() - t0
 print(f"processed at {elapsed / len(dataset.frames) * 1e3:.2f} ms/frame, "
       f"{len(detections)} loop closures reported")
 
-lo, hi = pipeline.searchable_region()
-print(f"searchable region at the end: frames {lo}..{hi} "
-      f"(exclusion zone keeps the last {config.n_non})")
+print(f"at the end: {len(pipeline.index)} frames searchable in the index, "
+      f"the last {len(pipeline.fifo)} held back in the FIFO (exclusion zone {config.n_non})")
 
 first = detections[0]
 print(f"first detection: frame {first.query_frame} -> {first.matched_frame} "

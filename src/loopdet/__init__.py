@@ -66,7 +66,6 @@ from .hnsw import (
 from .pipeline import (
     FrameRecord,
     LoopClosurePipeline,
-    LoopDetection,
     PipelineConfig,
     TemporalFilter,
     collect_frame_records,
@@ -93,7 +92,6 @@ __all__ = [
     "IndexAuditError",
     "LocalFeatureSet",
     "LoopClosurePipeline",
-    "LoopDetection",
     "Matches",
     "Neighbor",
     "OrderError",

@@ -69,6 +69,12 @@ def _ints(raw: str, sep: str = ",") -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected integers, got {raw!r}") from None
 
 
+def _positive(raw: str) -> int:
+    if raw.strip().isdecimal() and int(raw) >= 1:
+        return int(raw)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+
+
 def _segments(raw: str) -> tuple[tuple[int, ...], ...]:
     """``origin:revisit:length[,...]``; the generator checks that each fits."""
     segments = tuple(_ints(part, ":") for part in raw.split(",") if part)
@@ -90,24 +96,27 @@ _STREAM = _PIPE + " synth"  # and the one that generates a stream
 class RunConfig:
     """The one list of run knobs: each field is a ``--flag`` (underscores
     become dashes) of the subcommands that read it and a config-file key, and
-    serializes to ``key=value`` text, round-trip stable."""
+    serializes to ``key=value`` text, round-trip stable.  A knob's default is
+    the one of the library field it sets."""
 
-    psi: float = _knob(40.0, float, "search-area time constant, seconds", _STREAM)
+    psi: float = _knob(PipelineConfig.psi, float, "search-area time constant, seconds", _STREAM)
     phi: float | None = _knob(None, float, "camera frame rate, frames/second "
                                            "(default: the container header)", _STREAM)
-    n: int = _knob(5, int, "retrieval candidates per query", _PIPE)
-    epsilon: float = _knob(0.7, float, "distance-ratio threshold", _PIPE)
-    beta: int = _knob(2, int, "consecutive frames for temporal consistency", _PIPE)
+    n: int = _knob(PipelineConfig.n, int, "retrieval candidates per query", _PIPE)
+    epsilon: float = _knob(PipelineConfig.epsilon, float, "distance-ratio threshold", _PIPE)
+    beta: int = _knob(PipelineConfig.beta, int, "consecutive frames for temporal consistency",
+                      _PIPE)
     # only detect gates its detections; eval and bench record each frame's best
     # candidate in one pass and replay every tau of their tau_range
-    tau: int = _knob(12, int, "inlier acceptance threshold", "detect")
-    delta: float = _knob(15.0, float, "attention-score threshold", _PIPE)
-    M: int = _knob(48, int, "graph degree cap per layer", _PIPE)
-    ef_construction: int = _knob(40, int, "graph construction beam width", _PIPE)
-    ef_search: int = _knob(40, int, "graph search beam width", _PIPE)
-    seed: int = _knob(0, int, "base random seed", _STREAM)
-    gt_window: int = _knob(10, int, "frame tolerance when matching detections to labels",
-                           "eval bench")
+    tau: int = _knob(PipelineConfig.tau, int, "inlier acceptance threshold", "detect")
+    delta: float = _knob(PipelineConfig.delta, float, "attention-score threshold", _PIPE)
+    M: int = _knob(HnswParams.M, int, "graph degree cap per layer", _PIPE)
+    ef_construction: int = _knob(HnswParams.ef_construction, int,
+                                 "graph construction beam width", _PIPE)
+    ef_search: int = _knob(HnswParams.ef_search, int, "graph search beam width", _PIPE)
+    seed: int = _knob(PipelineConfig.seed, int, "base random seed", _STREAM)
+    gt_window: int = _knob(evaluation.GT_WINDOW, int,
+                           "frame tolerance when matching detections to labels", "eval bench")
     tau_range: tuple[int, int, int] = _knob(
         (0, 40, 1), _parse_tau_range, "inlier threshold sweep as lo:hi[:step]", "eval bench"
     )
@@ -180,8 +189,8 @@ def _pipeline_config(cfg: RunConfig, phi: float) -> PipelineConfig:
 def _resolve(args: argparse.Namespace) -> tuple[RunConfig, float, ContainerHeader | None]:
     """Every subcommand's start-up: resolve the knobs it reads, read the
     container header if it reads ``features``, default ``phi`` to the
-    header's (else 10), and echo the knobs, the header's f32 image scales at
-    f32 precision and the subcommand's own flags."""
+    header's (else the pipeline's), and echo the knobs, the header's f32
+    image scales at f32 precision and the subcommand's own flags."""
     cfg = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
@@ -193,7 +202,7 @@ def _resolve(args: argparse.Namespace) -> tuple[RunConfig, float, ContainerHeade
     header = None
     if "features" in knobs:
         header = read_header(_require(cfg.features, "feature file (--features)"))
-    phi = cfg.phi if cfg.phi is not None else header.phi if header else 10.0
+    phi = cfg.phi if cfg.phi is not None else header.phi if header else PipelineConfig.phi
     resolved = [(k, v) for k, v in dataclasses.replace(cfg, phi=phi).items() if k in knobs]
     if header is not None:
         resolved += [(k, str(np.float32(getattr(header, k)))) for k in ("s_g", "s_l")]
@@ -252,7 +261,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt = read_ground_truth(_require(cfg.gt, "ground-truth file (--gt)"))
     pipe_cfg = _pipeline_config(cfg, phi)
     records, _ = collect_frame_records(read_features(cfg.features), pipe_cfg, header.dim_global)
-    gt = GroundTruth(gt.pairs, frozenset(r.frame_id for r in records))
+    gt = GroundTruth(gt.pairs, frozenset(r.query_frame for r in records))
     curve = pr_curve((), gt, pipe_cfg, _taus(cfg), gt_window=cfg.gt_window, records=records)
     if cfg.out:
         with atomic_output(cfg.out, "w") as f:
@@ -351,18 +360,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
             seed=cfg.seed,
         )
     )
-    _, pipeline = run_pipeline(dataset.frames, pipe_cfg, dim)
+    # one pass per distinct n: the sweep replays its records at every tau, and
+    # the timing table comes from the pass at the run's n
+    passes = {}
+    for n in dict.fromkeys((*args.n_list, cfg.n)):
+        t0 = time.perf_counter()
+        records, _ = collect_frame_records(dataset.frames, dataclasses.replace(pipe_cfg, n=n), dim)
+        passes[n] = records, (time.perf_counter() - t0) * 1e3 / n_frames
     with atomic_output(os.path.join(out_dir, "timing.csv"), "w") as f:
-        write_timing_csv(f, pipeline.records)
+        write_timing_csv(f, passes[cfg.n][0])
 
     with atomic_output(os.path.join(out_dir, "n_sweep.csv"), "w") as f:
         f.write("n,recall_at_100_precision,mean_frame_ms\n")
         for n in args.n_list:
-            t0 = time.perf_counter()
-            curve = pr_curve(dataset.frames, dataset.ground_truth,
-                             dataclasses.replace(pipe_cfg, n=n), _taus(cfg),
-                             gt_window=cfg.gt_window)
-            ms = (time.perf_counter() - t0) * 1e3 / len(dataset.frames)
+            records, ms = passes[n]
+            curve = pr_curve((), dataset.ground_truth, dataclasses.replace(pipe_cfg, n=n),
+                             _taus(cfg), gt_window=cfg.gt_window, records=records)
             f.write(f"{n},{recall_at_full_precision(curve):.6f},{ms:.6f}\n")
 
     logger.info("benchmark tables written to %s", out_dir)
@@ -436,20 +449,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=2000, help="trajectory length")
     p.add_argument("--segments", type=_segments, default="",
                    help="revisit segments as origin:revisit:length[,...]")
-    p.add_argument("--dim-global", dest="dim_global", type=int, default=256)
-    p.add_argument("--dim-local", dest="dim_local", type=int, default=40)
-    p.add_argument("--features-per-frame", dest="features_per_frame", type=int, default=80)
-    p.add_argument("--outlier-frac", dest="outlier_frac", type=float, default=0.0)
-    p.add_argument("--sigma-global", dest="sigma_global", type=float, default=0.0)
-    p.add_argument("--sigma-px", dest="sigma_px", type=float, default=0.0)
-    p.add_argument("--sigma-desc", dest="sigma_desc", type=float, default=0.0)
+    p.add_argument("--dim-global", dest="dim_global", type=int, default=SynthConfig.dim_global)
+    p.add_argument("--dim-local", dest="dim_local", type=int, default=SynthConfig.dim_local)
+    p.add_argument("--features-per-frame", dest="features_per_frame", type=int,
+                   default=SynthConfig.features_per_frame)
+    p.add_argument("--outlier-frac", dest="outlier_frac", type=float,
+                   default=SynthConfig.outlier_fraction)
+    for name in ("sigma_global", "sigma_px", "sigma_desc"):
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                       default=getattr(SynthConfig, name))
 
     p = command("bench", cmd_bench, "graph sweeps and per-stage timing tables")
-    p.add_argument("--bench-vectors", dest="bench_vectors", type=int, default=2000)
-    p.add_argument("--bench-queries", dest="bench_queries", type=int, default=200)
-    p.add_argument("--bench-dim", dest="bench_dim", type=int, default=64)
-    p.add_argument("--bench-frames", dest="bench_frames", type=int, default=1500)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--bench-vectors", dest="bench_vectors", type=_positive, default=2000)
+    p.add_argument("--bench-queries", dest="bench_queries", type=_positive, default=200)
+    p.add_argument("--bench-dim", dest="bench_dim", type=_positive, default=64)
+    p.add_argument("--bench-frames", dest="bench_frames", type=_positive, default=1500)
+    p.add_argument("--k", type=_positive, default=10)
     p.add_argument("--ef-list", dest="ef_list", type=_ints, default="20,40,80")
     p.add_argument("--m-list", dest="m_list", type=_ints, default="8,16,48")
     p.add_argument("--n-list", dest="n_list", type=_ints, default="1,3,5,10")

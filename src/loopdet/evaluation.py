@@ -33,6 +33,10 @@ DRIFT = 0.98
 IMAGE_SIZE = (1280, 960)
 SCORE_RANGE = (20.0, 100.0)
 
+# frames a detection's matched frame may lie from a labeled match and still
+# count as a true positive (human labels are place-level, not frame-exact)
+GT_WINDOW = 10
+
 
 # ---------------------------------------------------------------------------
 # ground truth and scoring
@@ -58,16 +62,16 @@ class GroundTruth:
 
 
 def score(
-    detections: Iterable[Sequence[int]], gt: GroundTruth, window: int = 10
+    detections: Iterable[Sequence[int]], gt: GroundTruth, window: int = GT_WINDOW
 ) -> tuple[int, int, int]:
     """Count (tp, fp, fn) for ``(query, matched, ...)`` detection tuples
     against labeled loops.
 
     A detection is a true positive iff its query is a labeled query and its
     matched frame lies within ``window`` of some labeled match for that
-    query (human labels are place-level, not frame-exact).  ``fn`` counts
-    labeled queries with no true-positive detection; the pipeline emits at
-    most one detection per query, so tp + fn covers each labeled query once.
+    query.  ``fn`` counts labeled queries with no true-positive detection;
+    the pipeline emits at most one detection per query, so tp + fn covers
+    each labeled query once.
     """
     tp = 0
     fp = 0
@@ -136,7 +140,7 @@ def pr_curve(
     config: PipelineConfig,
     tau_range: Sequence[int],
     *,
-    gt_window: int = 10,
+    gt_window: int = GT_WINDOW,
     records: Sequence[FrameRecord] | None = None,
 ) -> list[PrPoint]:
     """Sweep the inlier acceptance threshold over one cached pipeline pass.

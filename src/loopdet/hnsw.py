@@ -161,10 +161,6 @@ class HnswIndex:
     def dim(self) -> int:
         return self._dim
 
-    @property
-    def frame_ids(self) -> list[int]:
-        return list(self._ids)
-
     # -- construction -------------------------------------------------------------
 
     def _append_node(self, frame_id: int, vec32: np.ndarray, level: int) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .descriptors import GlobalDescriptor, LocalFeatureSet, filter_by_score, l2_normalize
-from .geometry import FundamentalMatrix, VerificationResult, brute_force_match, ransac_fundamental
+from .geometry import brute_force_match, ransac_fundamental
 from .hnsw import HnswIndex, HnswParams, Neighbor
 
 STAGES = (
@@ -78,29 +78,18 @@ class PipelineConfig:
         return self.n * (self.beta + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class LoopDetection:
-    """An accepted loop-closure event."""
-
-    query_frame: int
-    matched_frame: int
-    inlier_count: int
-    matrix: FundamentalMatrix
-    similarity: float
-
-
 @dataclass(frozen=True)
 class FrameRecord:
     """What one processed frame did.
 
-    The max-inlier candidate, whatever ``tau`` is (before the inlier gate
-    and the temporal filter), with ``matched_frame`` None and
+    The frame's id, its max-inlier candidate, whatever ``tau`` is (before the
+    inlier gate and the temporal filter), with ``matched_frame`` None and
     ``inlier_count`` -1 when no candidate yielded a model, and the
     wall-clock seconds spent in each of :data:`STAGES` (0.0 for a stage that
-    did not run).
+    did not run).  A frame that closes a loop is reported as its record.
     """
 
-    frame_id: int
+    query_frame: int
     matched_frame: int | None
     inlier_count: int
     similarity: float
@@ -168,17 +157,11 @@ class LoopClosurePipeline:
         self._last_frame_id: int | None = None
         self._local_dim: int | None = None  # of the first non-empty stored set
 
-    def searchable_region(self) -> tuple[int, int] | None:
-        """Contiguous frame-id range currently in the index, or None."""
-        ids = self.index.frame_ids
-        if not ids:
-            return None
-        return ids[0], ids[-1]
-
     def process_frame(
         self, frame_id: int, g: GlobalDescriptor, locals_: LocalFeatureSet
-    ) -> LoopDetection | None:
-        """Run one step of the detection loop; returns a loop event or None."""
+    ) -> FrameRecord | None:
+        """Run one step of the detection loop; returns the frame's record if
+        the frame closes a loop, else None."""
         t_start = time.perf_counter()
         cfg = self.config
         if self._last_frame_id is not None and frame_id <= self._last_frame_id:
@@ -219,24 +202,17 @@ class LoopClosurePipeline:
             self.index.insert(old_id, old_vec)
             stages["adding_feature"] = time.perf_counter() - t0
 
-        best = None
+        candidates = []
         if len(self.index) > 0:
             t0 = time.perf_counter()
             candidates = self.index.knn_search(vec, cfg.n)
             stages["graph_searching"] = time.perf_counter() - t0
-            best = self.verify_candidates(kept, candidates, stages)
-        matched, inliers, sim = None, -1, float("nan")
-        if best is not None:
-            matched, result, sim = best
-            inliers = result.inlier_count
-        record = FrameRecord(frame_id, matched, inliers, sim, stages)
-        detection = None
-        if self._temporal.update(_gate(record, cfg.tau)):
-            if frame_id - matched < cfg.n_non:
-                raise RuntimeError(
-                    f"exclusion-zone invariant violated: {frame_id} matched {matched}"
-                )
-            detection = LoopDetection(frame_id, matched, inliers, result.matrix, sim)
+        record = FrameRecord(frame_id, *self.verify_candidates(kept, candidates, stages), stages)
+        closes_loop = self._temporal.update(_gate(record, cfg.tau))
+        if closes_loop and frame_id - record.matched_frame < cfg.n_non:
+            raise RuntimeError(
+                f"exclusion-zone invariant violated: {frame_id} matched {record.matched_frame}"
+            )
 
         self.fifo.append((frame_id, unit))
         self.locals_store[frame_id] = kept
@@ -245,14 +221,14 @@ class LoopClosurePipeline:
         self._last_frame_id = frame_id
         stages["whole_system"] = time.perf_counter() - t_start
         self.records.append(record)
-        return detection
+        return record if closes_loop else None
 
     def verify_candidates(
         self,
         query_locals: LocalFeatureSet,
         candidates: Sequence[Neighbor],
         stages: dict[str, float],
-    ) -> tuple[int, VerificationResult, float] | None:
+    ) -> tuple[int | None, int, float]:
         """Geometrically verify retrieval candidates; keep the max-inlier one.
 
         Candidates arrive sorted by similarity descending with frame-id tie
@@ -260,16 +236,14 @@ class LoopClosurePipeline:
         incumbent, so ties resolve to the higher-similarity candidate.  RANSAC
         runs with no inlier threshold; ``tau`` is applied later, by the gate.
         Matching and RANSAC time accumulate in ``stages``.  Returns
-        ``(frame_id, result, similarity)``, or None if no candidate has 8
-        matches and a model.
+        ``(matched_frame, inlier_count, similarity)``, or ``(None, -1, nan)``
+        if no candidate has 8 matches and a model.
         """
         cfg = self.config
-        best: tuple[int, VerificationResult, float] | None = None
-        best_inliers = -1
+        best = (None, -1, float("nan"))
         for cand in candidates:
-            cand_locals = self.locals_store.get(cand.frame_id)
-            if cand_locals is None:
-                continue
+            # every indexed frame was stored before it entered the FIFO
+            cand_locals = self.locals_store[cand.frame_id]
             t0 = time.perf_counter()
             matches = brute_force_match(query_locals, cand_locals, cfg.epsilon)
             stages["feature_matching"] += time.perf_counter() - t0
@@ -284,9 +258,8 @@ class LoopClosurePipeline:
                 _candidate_rng(cfg.seed, query_locals.frame_id, cand.frame_id),
             )
             stages["ransac"] += time.perf_counter() - t0
-            if result is not None and result.inlier_count > best_inliers:
-                best = (cand.frame_id, result, cand.similarity)
-                best_inliers = result.inlier_count
+            if result is not None and result.inlier_count > best[1]:
+                best = (cand.frame_id, result.inlier_count, cand.similarity)
         return best
 
 
@@ -294,8 +267,9 @@ def run_pipeline(
     frames: Iterable[tuple[int, GlobalDescriptor, LocalFeatureSet]],
     config: PipelineConfig,
     dim: int,
-) -> tuple[list[LoopDetection], LoopClosurePipeline]:
-    """Feed a frame stream through a fresh pipeline; returns detections and state.
+) -> tuple[list[FrameRecord], LoopClosurePipeline]:
+    """Feed a frame stream through a fresh pipeline; returns the records of
+    the frames that closed a loop, and the pipeline.
 
     The one way to run the pipeline over a stream: the CLI, the threshold
     sweep and the timing table all go through it and read the per-frame
@@ -324,7 +298,7 @@ def replay_detections(
     out = []
     for rec in records:
         if temporal.update(_gate(rec, tau)):
-            out.append((rec.frame_id, rec.matched_frame, rec.inlier_count))
+            out.append((rec.query_frame, rec.matched_frame, rec.inlier_count))
     return out
 
 

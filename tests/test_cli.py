@@ -45,6 +45,25 @@ DETECT_FLAGS = ["--psi", 2, "--phi", 10, "--n", 3, "--M", 8,
 
 
 class TestRunConfig:
+    def test_defaults_are_the_librarys(self):
+        from loopdet import PipelineConfig
+        from loopdet.cli import _pipeline_config
+
+        assert _pipeline_config(RunConfig(), PipelineConfig().phi) == PipelineConfig()
+
+    def test_synth_defaults_are_the_generators(self):
+        import dataclasses
+
+        from loopdet import SynthConfig
+        from loopdet.cli import build_parser
+
+        args = build_parser().parse_args(["synth"])
+        defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+        defaults["outlier_frac"] = defaults["outlier_fraction"]
+        for dest in ("dim_global", "dim_local", "features_per_frame", "outlier_frac",
+                     "sigma_global", "sigma_px", "sigma_desc"):
+            assert getattr(args, dest) == defaults[dest], dest
+
     def test_text_round_trip(self):
         cfg = RunConfig(psi=12.5, n=7, tau_range=(2, 30, 4), features="a.fftc")
         text = "".join(f"{k}={v}\n" for k, v in cfg.items())
@@ -171,12 +190,10 @@ class TestInvariantViolation:
     def near_matches(self, monkeypatch):
         # every verified frame "matches" the frame just before it, so the
         # temporal filter fires inside the exclusion zone
-        from loopdet import FundamentalMatrix, VerificationResult
         from loopdet.pipeline import LoopClosurePipeline
 
         def verify(self, query_locals, candidates, stages):
-            result = VerificationResult(FundamentalMatrix(np.eye(3)), tuple(range(20)))
-            return query_locals.frame_id - 1, result, 1.0
+            return query_locals.frame_id - 1, 20, 1.0
 
         monkeypatch.setattr(LoopClosurePipeline, "verify_candidates", verify)
 
@@ -411,6 +428,16 @@ class TestFlagSurface:
         out = tmp_path / "out"
         line = usage_error(argv + ["--out", out], capsys)
         assert line.startswith("loopdet ") and "error: argument " + argv[1] in line
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--bench-vectors", 0), ("--bench-queries", 0), ("--bench-dim", -3),
+        ("--bench-frames", 0), ("--k", "x"),
+    ])
+    def test_bench_sizes_must_be_positive(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "bench"
+        line = usage_error(["bench", flag, value, "--out", out], capsys)
+        assert f"error: argument {flag}: expected a positive integer" in line
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_tau_range_names_its_form(self, tmp_path, capsys):

@@ -224,7 +224,7 @@ class TestInsert:
     def test_first_insert_becomes_entry(self, rng):
         index = HnswIndex(4, SMALL)
         index.insert(3, [1.0, 0.0, 0.0, 0.0])
-        assert index.frame_ids == [3]
+        assert index._ids == [3]
         index.audit()
         res = index.knn_search([1.0, 0.0, 0.0, 0.0], 1, ef=1)
         assert res == [Neighbor(3, 1.0)]
@@ -234,10 +234,8 @@ class TestInsert:
         params = HnswParams(M=48, ef_construction=40, ef_search=40, rng_seed=1)
         index = build_index(vectors, params)
         for i in range(3):
-            others = {index.frame_ids[j] for j in range(3) if j != i}
-            linked = {
-                index.frame_ids[n] for n in index._neighbors(index._id_to_idx[i], 0).tolist()
-            }
+            others = {index._ids[j] for j in range(3) if j != i}
+            linked = {index._ids[n] for n in index._neighbors(index._id_to_idx[i], 0).tolist()}
             assert linked == others
 
     def test_duplicate_frame_rejected(self, rng):
@@ -260,7 +258,7 @@ class TestInsert:
                 index.insert(1, bad)
             with pytest.raises(DegenerateDescriptorError):
                 index.knn_search(bad, 1)
-        assert index.frame_ids == [0]
+        assert index._ids == [0]
         index.insert(2, [0.0, 1.0])
         assert index.knn_search([0.0, 1.0], 2) == [Neighbor(2, 1.0), Neighbor(0, 0.0)]
 

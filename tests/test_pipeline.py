@@ -117,7 +117,6 @@ class TestProcessFrame:
         detections, pipe = run_pipeline(frames, cfg, 16)
         assert detections == []
         assert len(pipe.index) == 0  # nothing popped yet
-        assert pipe.searchable_region() is None
 
     def test_monotonic_frame_ids_enforced(self, rng):
         cfg = tiny_config()
@@ -138,7 +137,7 @@ class TestProcessFrame:
         for fid, g, lf in drifting_frames(rng, 25):
             pipe.process_frame(fid, g, lf)
         assert len(pipe.fifo) == cfg.n_non
-        fifo, index_ids = list(pipe.fifo), pipe.index.frame_ids
+        fifo, indexed = list(pipe.fifo), len(pipe.index)
         records, last = list(pipe.records), pipe._last_frame_id
         # and descriptors with a NaN or an infinite entry
         for bad in (0.0, np.nan, np.inf):
@@ -147,7 +146,7 @@ class TestProcessFrame:
             with pytest.raises(DegenerateDescriptorError):
                 pipe.process_frame(25, GlobalDescriptor(25, g), LocalFeatureSet.empty(25, 4))
             assert list(pipe.fifo) == fifo
-            assert pipe.index.frame_ids == index_ids
+            assert len(pipe.index) == indexed
             assert pipe.records == records
             assert pipe._last_frame_id == last == 24
             assert 25 not in pipe.locals_store
@@ -160,7 +159,7 @@ class TestProcessFrame:
         pipe = LoopClosurePipeline(cfg, 16)
         for fid, g, lf in drifting_frames(rng, 25):
             pipe.process_frame(fid, g, lf)
-        fifo, index_ids = list(pipe.fifo), pipe.index.frame_ids
+        fifo, indexed = list(pipe.fifo), len(pipe.index)
         records, last = list(pipe.records), pipe._last_frame_id
         v = unit_rows(rng, 1, 16)[0]
         g = GlobalDescriptor(24 if named == "global" else 25, v)
@@ -168,7 +167,7 @@ class TestProcessFrame:
         with pytest.raises(ValueError, match="names frame 24"):
             pipe.process_frame(25, g, lf)
         assert list(pipe.fifo) == fifo
-        assert pipe.index.frame_ids == index_ids
+        assert len(pipe.index) == indexed
         assert pipe.records == records
         assert pipe._last_frame_id == last == 24
         assert 25 not in pipe.locals_store
@@ -190,12 +189,12 @@ class TestProcessFrame:
         for fid in range(1, 6):
             pipe.process_frame(*frame(fid, 16))
         assert len(pipe.fifo) == cfg.n_non == 2
-        fifo, index_ids = [fid for fid, _ in pipe.fifo], pipe.index.frame_ids
+        fifo, indexed = [fid for fid, _ in pipe.fifo], len(pipe.index)
         stored, records, last = list(pipe.locals_store), list(pipe.records), pipe._last_frame_id
         with pytest.raises(ValueError, match="local descriptor dimension 12 does not match 16"):
             pipe.process_frame(*frame(6, 12))
         assert [fid for fid, _ in pipe.fifo] == fifo
-        assert pipe.index.frame_ids == index_ids
+        assert len(pipe.index) == indexed
         assert list(pipe.locals_store) == stored
         assert pipe.records == records
         assert pipe._last_frame_id == last == 5
@@ -245,7 +244,7 @@ class TestProcessFrame:
         cfg = tiny_config(beta=3)
         detections, pipe = run_pipeline(ds.frames, cfg, 32)
         assert detections
-        by_frame = {r.frame_id: r for r in pipe.records}
+        by_frame = {r.query_frame: r for r in pipe.records}
         for det in detections:
             for back in range(cfg.beta):
                 rec = by_frame[det.query_frame - back]
@@ -257,11 +256,18 @@ class TestProcessFrame:
         cfg = tiny_config()
         d1, _ = run_pipeline(ds.frames, cfg, 32)
         d2, _ = run_pipeline(ds.frames, cfg, 32)
-        assert [(d.query_frame, d.matched_frame, d.inlier_count) for d in d1] == [
-            (d.query_frame, d.matched_frame, d.inlier_count) for d in d2
+        assert d1
+        assert [(d.query_frame, d.matched_frame, d.inlier_count, d.similarity) for d in d1] == [
+            (d.query_frame, d.matched_frame, d.inlier_count, d.similarity) for d in d2
         ]
-        for a, b in zip(d1, d2):
-            np.testing.assert_array_equal(a.matrix.m, b.matrix.m)
+
+    def test_detection_is_the_frames_record(self):
+        ds = small_revisit_dataset()
+        pipe = LoopClosurePipeline(tiny_config(), 32)
+        returned = [pipe.process_frame(*frame) for frame in ds.frames]
+        assert any(returned)
+        for out, rec in zip(returned, pipe.records):
+            assert out is None or out is rec
 
     def test_score_filter_applied_at_ingestion(self):
         ds = small_revisit_dataset()
@@ -272,6 +278,8 @@ class TestProcessFrame:
 
 
 class TestSearchableRegion:
+    """The index holds every frame but the last ``n_non``, which wait in the FIFO."""
+
     def run_empty_frames(self, count, cfg, dim=8):
         rng = np.random.default_rng(0)
         frames = [
@@ -283,17 +291,20 @@ class TestSearchableRegion:
 
     def test_empty_before_queue_fills(self):
         cfg = PipelineConfig(psi=40.0, phi=10.0, hnsw=FAST_HNSW, n=2)
-        assert self.run_empty_frames(100, cfg).searchable_region() is None
+        pipe = self.run_empty_frames(100, cfg)
+        assert len(pipe.index) == 0 and [fid for fid, _ in pipe.fifo] == list(range(100))
 
     def test_range_after_thousand_frames(self):
         cfg = PipelineConfig(psi=40.0, phi=10.0, hnsw=FAST_HNSW, n=2)
-        assert self.run_empty_frames(1000, cfg).searchable_region() == (0, 599)
+        pipe = self.run_empty_frames(1000, cfg)
+        assert len(pipe.index) == 600 and [fid for fid, _ in pipe.fifo] == list(range(600, 1000))
 
     def test_minimal_exclusion(self):
         cfg = PipelineConfig(psi=0.1, phi=10.0, hnsw=FAST_HNSW, n=2)
         pipe = self.run_empty_frames(10, cfg)
         assert cfg.n_non == 1
-        assert pipe.searchable_region() == (0, 8)  # all but frame 9 itself
+        # all but frame 9 itself
+        assert len(pipe.index) == 9 and [fid for fid, _ in pipe.fifo] == [9]
 
 
 def verify(pipe, query, candidates):
@@ -319,15 +330,15 @@ class TestVerifyCandidates:
         pipe.locals_store[7] = junk
         query = LocalFeatureSet(99, rng.uniform(0, 100, (20, 2)), np.full(20, 50.0),
                                 unit_rows(rng, 20, 40))
-        assert verify(pipe, query, [Neighbor(7, 0.9)]) is None
+        matched, inliers, sim = verify(pipe, query, [Neighbor(7, 0.9)])
+        assert (matched, inliers) == (None, -1) and np.isnan(sim)
 
     def test_single_verified_candidate_wins(self, rng):
         pipe = self.build()
         cand, pb, desc = self.planted_candidate(rng, 7, 40)
         pipe.locals_store[7] = cand
         query = LocalFeatureSet(99, pb, np.full(40, 50.0), desc)
-        frame, result, sim = verify(pipe, query, [Neighbor(7, 0.9)])
-        assert frame == 7 and result.inlier_count == 40
+        assert verify(pipe, query, [Neighbor(7, 0.9)]) == (7, 40, 0.9)
 
     def test_highest_inlier_candidate_selected(self, rng):
         # two overlapping revisits of different quality: 20 vs 35 inliers
@@ -342,9 +353,7 @@ class TestVerifyCandidates:
             np.full(55, 50.0),
             np.vstack([desc_a, desc_b]),
         )
-        frame, result, _ = verify(pipe, query, [Neighbor(7, 0.99), Neighbor(8, 0.98)])
-        assert frame == 8
-        assert result.inlier_count == 35
+        assert verify(pipe, query, [Neighbor(7, 0.99), Neighbor(8, 0.98)]) == (8, 35, 0.98)
 
     def test_tau_gates_the_record_not_verification(self):
         # a 20-inlier candidate below tau=25 is the frame's recorded best
@@ -415,6 +424,7 @@ class TestReplay:
                 (q, m) for q, m, _ in replayed
             ]
             # the records do not depend on tau
-            assert [(r.frame_id, r.matched_frame, r.inlier_count) for r in live_pipe.records] == [
-                (r.frame_id, r.matched_frame, r.inlier_count) for r in permissive.records
+            assert [(r.query_frame, r.matched_frame, r.inlier_count)
+                    for r in live_pipe.records] == [
+                (r.query_frame, r.matched_frame, r.inlier_count) for r in permissive.records
             ]
