@@ -5,7 +5,8 @@ fed to the online pipeline one at a time by ``run_pipeline``; the FIFO queue
 holds the latest psi * phi frames out of the index so a query can never
 match its immediate past.  Detections require beta consecutive geometrically
 verified frames; each one is the FrameRecord of the frame that closed the loop.
-A final threshold sweep shows the precision/recall trade-off.
+A final threshold sweep replays the same run's records to show the
+precision/recall trade-off without a second pass.
 """
 
 import time
@@ -69,7 +70,8 @@ tp, fp, fn = score(pairs, dataset.ground_truth, window=0)
 print(f"\nat tau={config.tau}: tp={tp} fp={fp} fn={fn} "
       f"(precision {tp / (tp + fp):.3f}, recall {tp / (tp + fn):.3f})")
 
-curve = pr_curve(dataset.frames, dataset.ground_truth, config, range(0, 41, 4))
+curve = pr_curve(dataset.frames, dataset.ground_truth, config, range(0, 41, 4),
+                 records=pipeline.records)
 print(f"\n{'tau':>4} {'precision':>10} {'recall':>8}")
 for p in curve:
     print(f"{p.tau:>4} {p.precision:>10.3f} {p.recall:>8.3f}")

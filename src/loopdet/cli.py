@@ -31,7 +31,7 @@ from .container import (
     read_header,
     write_features,
 )
-from .descriptors import fit_pca, load_pca_model, reduce_features, save_pca_model
+from .descriptors import DEFAULT_REDUCED_DIM, fit_pca, load_pca_model, reduce_features, save_pca_model
 from .evaluation import (
     GroundTruth,
     RevisitSegment,
@@ -306,9 +306,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg, phi, _ = _resolve(args)
+    pipe_cfg = _pipeline_config(cfg, phi)
+    # every swept configuration is built before the first table, so a list
+    # value the library rejects fails before anything is written.  Each graph
+    # sweep varies the run's graph settings in the named fields; queries
+    # search with the swept graph's default beam, max(ef_search, k)
+    sweeps = {
+        name: [(v, dataclasses.replace(pipe_cfg.hnsw, **dict.fromkeys(fields, v))) for v in values]
+        for name, values, fields in (("ef", args.ef_list, ("ef_construction", "ef_search")),
+                                     ("M", args.m_list, ("M",)))
+    }
+    n_configs = {n: dataclasses.replace(pipe_cfg, n=n) for n in (*args.n_list, cfg.n)}
     out_dir = cfg.out or "bench"
     os.makedirs(out_dir, exist_ok=True)
-    pipe_cfg = _pipeline_config(cfg, phi)
     rng = np.random.default_rng(cfg.seed)
     dim = args.bench_dim
     k = args.k
@@ -319,16 +329,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     exact = evaluation.exact_knn(data, queries, k)
 
-    # each sweep varies the run's graph settings in the named fields; queries
-    # search with the swept graph's default beam, max(ef_search, k)
-    for name, values, fields in (
-        ("ef", args.ef_list, ("ef_construction", "ef_search")),
-        ("M", args.m_list, ("M",)),
-    ):
+    for name, swept in sweeps.items():
         with atomic_output(os.path.join(out_dir, f"{name.lower()}_sweep.csv"), "w") as f:
             f.write(f"{name},recall,mean_insert_ms,mean_query_ms\n")
-            for value in values:
-                params = dataclasses.replace(pipe_cfg.hnsw, **dict.fromkeys(fields, value))
+            for value, params in swept:
                 index = HnswIndex(dim, params)
                 t0 = time.perf_counter()
                 for i, v in enumerate(data):
@@ -363,9 +367,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # one pass per distinct n: the sweep replays its records at every tau, and
     # the timing table comes from the pass at the run's n
     passes = {}
-    for n in dict.fromkeys((*args.n_list, cfg.n)):
+    for n, n_cfg in n_configs.items():
         t0 = time.perf_counter()
-        records, _ = collect_frame_records(dataset.frames, dataclasses.replace(pipe_cfg, n=n), dim)
+        records, _ = collect_frame_records(dataset.frames, n_cfg, dim)
         passes[n] = records, (time.perf_counter() - t0) * 1e3 / n_frames
     with atomic_output(os.path.join(out_dir, "timing.csv"), "w") as f:
         write_timing_csv(f, passes[cfg.n][0])
@@ -374,8 +378,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f.write("n,recall_at_100_precision,mean_frame_ms\n")
         for n in args.n_list:
             records, ms = passes[n]
-            curve = pr_curve((), dataset.ground_truth, dataclasses.replace(pipe_cfg, n=n),
-                             _taus(cfg), gt_window=cfg.gt_window, records=records)
+            curve = pr_curve((), dataset.ground_truth, n_configs[n], _taus(cfg),
+                             gt_window=cfg.gt_window, records=records)
             f.write(f"{n},{recall_at_full_precision(curve):.6f},{ms:.6f}\n")
 
     logger.info("benchmark tables written to %s", out_dir)
@@ -471,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("pca-fit", cmd_pca_fit,
                 "fit a PCA reduction on a container's local descriptors")
-    p.add_argument("--out-dim", dest="out_dim", type=int, default=40)
+    p.add_argument("--out-dim", dest="out_dim", type=int, default=DEFAULT_REDUCED_DIM)
     p.add_argument("--whiten", action="store_true")
     p.add_argument("--max-samples", dest="max_samples", type=int, default=50000)
 

@@ -386,44 +386,40 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
     pairs share planted local correspondences generated from a random
     fundamental matrix, with ``sigma_px`` keypoint noise and an
     ``outlier_fraction`` of matchable distractor pairs at random positions.
+
+    The streams depend on the draw order: one draw for the walk (its start
+    and ``n_frames`` steps, the last unused), then frame by frame.  A revisit
+    frame draws its global noise, its scene and its pair's local features,
+    origin set first; an origin frame draws nothing; any other frame draws
+    its own local features.
     """
     cfg = config
     rng = np.random.default_rng(cfg.seed)
     T, D, d = cfg.n_frames, cfg.dim_global, cfg.dim_local
 
-    base = np.empty((T, D))
-    v = _unit_rows(rng, 1, D)[0]
+    # row i becomes frame i's global descriptor in place
+    walk = _unit_rows(rng, T + 1, D)
     step = math.sqrt(1.0 - DRIFT**2)
-    for i in range(T):
-        base[i] = v
-        w = _unit_rows(rng, 1, D)[0]
-        v = l2_normalize(DRIFT * v + step * w)
+    for i in range(1, T):
+        walk[i] = l2_normalize(DRIFT * walk[i - 1] + step * walk[i])
 
-    role: dict[int, tuple[str, int]] = {}  # frame -> ("origin"|"revisit", partner)
-    for seg in cfg.segments:
-        for j in range(seg.length):
-            role[seg.origin_start + j] = ("origin", seg.revisit_start + j)
-            role[seg.revisit_start + j] = ("revisit", seg.origin_start + j)
+    origin_of = {s.revisit_start + j: s.origin_start + j
+                 for s in cfg.segments for j in range(s.length)}
+    origins = set(origin_of.values())
 
     n_total = cfg.features_per_frame
     n_out = int(round(cfg.outlier_fraction * n_total))
     n_inl = n_total - n_out
     lo, hi = SCORE_RANGE
+    w_img, h_img = IMAGE_SIZE
 
-    globals_ = np.empty((T, D))
     locals_: dict[int, LocalFeatureSet] = {}
     planted: dict[int, PlantedLoop] = {}
-    gt_pairs: dict[int, frozenset[int]] = {}
-
     for i in range(T):
-        kind, partner = role.get(i, (None, -1))
-        if kind == "revisit":
-            noise = cfg.sigma_global * _unit_rows(rng, 1, D)[0]
-            globals_[i] = l2_normalize(base[partner] + noise)
-        else:
-            globals_[i] = base[i]
-
-        if kind == "revisit":
+        if i in origin_of:
+            # segments never overlap, so an origin row is never overwritten
+            o = origin_of[i]
+            walk[i] = l2_normalize(walk[o] + cfg.sigma_global * _unit_rows(rng, 1, D)[0])
             scene = EpipolarScene(rng)
             pa, pb = scene.correspondences(n_inl)
             if cfg.sigma_px > 0:
@@ -435,27 +431,15 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
                 desc_b /= np.linalg.norm(desc_b, axis=1, keepdims=True)
             oa, ob = scene.outlier_pairs(n_out) if n_out else (np.empty((0, 2)),) * 2
             odesc = _unit_rows(rng, n_out, d) if n_out else np.empty((0, d))
-
-            origin_set = LocalFeatureSet(
-                partner,
-                np.vstack([pa, oa]).astype(np.float32),
-                rng.uniform(lo, hi, n_total).astype(np.float32),
-                np.vstack([desc, odesc]).astype(np.float32),
-            )
-            query_set = LocalFeatureSet(
-                i,
-                np.vstack([pb, ob]).astype(np.float32),
-                rng.uniform(lo, hi, n_total).astype(np.float32),
-                np.vstack([desc_b, odesc]).astype(np.float32),
-            )
-            locals_[partner] = origin_set
-            locals_[i] = query_set
-            planted[i] = PlantedLoop(i, partner, scene.F, n_inl)
-            gt_pairs[i] = frozenset([partner])
-        elif kind == "origin":
-            pass  # filled in by the matching revisit frame above or below
-        else:
-            w_img, h_img = IMAGE_SIZE
+            for f, pts, outl, ds in ((o, pa, oa, desc), (i, pb, ob, desc_b)):
+                locals_[f] = LocalFeatureSet(
+                    f,
+                    np.vstack([pts, outl]).astype(np.float32),
+                    rng.uniform(lo, hi, n_total).astype(np.float32),
+                    np.vstack([ds, odesc]).astype(np.float32),
+                )
+            planted[i] = PlantedLoop(i, o, scene.F, n_inl)
+        elif i not in origins:
             locals_[i] = LocalFeatureSet(
                 i,
                 np.column_stack(
@@ -465,12 +449,9 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
                 _unit_rows(rng, n_total, d).astype(np.float32),
             )
 
-    frames = [
-        (i, GlobalDescriptor(i, globals_[i].astype(np.float32)), locals_[i])
-        for i in range(T)
-    ]
-    gt = GroundTruth(gt_pairs, frozenset(range(T)))
-    return SyntheticDataset(frames, gt, planted, cfg)
+    frames = [(i, GlobalDescriptor(i, walk[i].astype(np.float32)), locals_[i]) for i in range(T)]
+    pairs = {q: frozenset([p.origin_frame]) for q, p in planted.items()}
+    return SyntheticDataset(frames, GroundTruth(pairs, frozenset(range(T))), planted, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ class TestRunConfig:
                      "sigma_global", "sigma_px", "sigma_desc"):
             assert getattr(args, dest) == defaults[dest], dest
 
+    def test_pca_fit_default_is_the_librarys(self):
+        from loopdet.cli import build_parser
+        from loopdet.descriptors import DEFAULT_REDUCED_DIM
+
+        args = build_parser().parse_args(["pca-fit"])
+        assert args.out_dim == DEFAULT_REDUCED_DIM
+
     def test_text_round_trip(self):
         cfg = RunConfig(psi=12.5, n=7, tau_range=(2, 30, 4), features="a.fftc")
         text = "".join(f"{k}={v}\n" for k, v in cfg.items())
@@ -329,6 +336,20 @@ class TestBench:
         assert (echo["ef_list"], echo["m_list"], echo["n_list"]) == ("20,40,80", "6,8", "1,3")
         assert (echo["k"], echo["bench_dim"], echo["tau_range"]) == ("10", "64", "0:20:5")
         assert "features" not in echo and "gt" not in echo
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--ef-list", "20,0", "ef_construction"),
+        ("--m-list", "1", "M"),
+        ("--n-list", "0", "n"),
+    ])
+    def test_rejected_list_value_writes_no_table(self, flag, value, field, tmp_path, capsys):
+        capsys.readouterr()
+        code = run(["bench", "--out", tmp_path / "bench", "--bench-frames", 50,
+                    "--bench-vectors", 50, "--bench-queries", 5, flag, value])
+        assert code == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and f"{field} must be" in errors[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPcaFit:

@@ -274,6 +274,133 @@ class TestGenerator:
         assert point.recall >= 1.0 - (cfg.beta - 1) / seg_len
 
 
+def oracle_generate_synthetic(cfg):
+    """The frame-by-frame generator with a separate walk copy and role
+    tuples, kept as the reference that pins every stream's bytes."""
+    from loopdet import GlobalDescriptor, LocalFeatureSet, l2_normalize
+    from loopdet.evaluation import (
+        DRIFT,
+        IMAGE_SIZE,
+        SCORE_RANGE,
+        EpipolarScene,
+        PlantedLoop,
+        _unit_rows,
+    )
+
+    rng = np.random.default_rng(cfg.seed)
+    T, D, d = cfg.n_frames, cfg.dim_global, cfg.dim_local
+
+    base = np.empty((T, D))
+    v = _unit_rows(rng, 1, D)[0]
+    step = math.sqrt(1.0 - DRIFT**2)
+    for i in range(T):
+        base[i] = v
+        w = _unit_rows(rng, 1, D)[0]
+        v = l2_normalize(DRIFT * v + step * w)
+
+    role = {}  # frame -> ("origin"|"revisit", partner)
+    for seg in cfg.segments:
+        for j in range(seg.length):
+            role[seg.origin_start + j] = ("origin", seg.revisit_start + j)
+            role[seg.revisit_start + j] = ("revisit", seg.origin_start + j)
+
+    n_total = cfg.features_per_frame
+    n_out = int(round(cfg.outlier_fraction * n_total))
+    n_inl = n_total - n_out
+    lo, hi = SCORE_RANGE
+
+    globals_ = np.empty((T, D))
+    locals_, planted, gt_pairs = {}, {}, {}
+    for i in range(T):
+        kind, partner = role.get(i, (None, -1))
+        if kind == "revisit":
+            noise = cfg.sigma_global * _unit_rows(rng, 1, D)[0]
+            globals_[i] = l2_normalize(base[partner] + noise)
+        else:
+            globals_[i] = base[i]
+
+        if kind == "revisit":
+            scene = EpipolarScene(rng)
+            pa, pb = scene.correspondences(n_inl)
+            if cfg.sigma_px > 0:
+                pb = pb + rng.normal(0.0, cfg.sigma_px, pb.shape)
+            desc = _unit_rows(rng, n_inl, d)
+            desc_b = desc
+            if cfg.sigma_desc > 0:
+                desc_b = desc + cfg.sigma_desc * rng.standard_normal((n_inl, d))
+                desc_b /= np.linalg.norm(desc_b, axis=1, keepdims=True)
+            oa, ob = scene.outlier_pairs(n_out) if n_out else (np.empty((0, 2)),) * 2
+            odesc = _unit_rows(rng, n_out, d) if n_out else np.empty((0, d))
+            locals_[partner] = LocalFeatureSet(
+                partner,
+                np.vstack([pa, oa]).astype(np.float32),
+                rng.uniform(lo, hi, n_total).astype(np.float32),
+                np.vstack([desc, odesc]).astype(np.float32),
+            )
+            locals_[i] = LocalFeatureSet(
+                i,
+                np.vstack([pb, ob]).astype(np.float32),
+                rng.uniform(lo, hi, n_total).astype(np.float32),
+                np.vstack([desc_b, odesc]).astype(np.float32),
+            )
+            planted[i] = PlantedLoop(i, partner, scene.F, n_inl)
+            gt_pairs[i] = frozenset([partner])
+        elif kind is None:
+            w_img, h_img = IMAGE_SIZE
+            locals_[i] = LocalFeatureSet(
+                i,
+                np.column_stack(
+                    [rng.uniform(0, w_img, n_total), rng.uniform(0, h_img, n_total)]
+                ).astype(np.float32),
+                rng.uniform(lo, hi, n_total).astype(np.float32),
+                _unit_rows(rng, n_total, d).astype(np.float32),
+            )
+
+    frames = [
+        (i, GlobalDescriptor(i, globals_[i].astype(np.float32)), locals_[i])
+        for i in range(T)
+    ]
+    return frames, planted, GroundTruth(gt_pairs, frozenset(range(T)))
+
+
+class TestBitIdentity:
+    """The one-array generator draws exactly the streams of the oracle above;
+    a change to any existing stream shows here first."""
+
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(n_frames=200, segments=(RevisitSegment(10, 60, 10),
+                                            RevisitSegment(100, 150, 12)),
+                    dim_global=32, features_per_frame=30, exclusion_zone=20, seed=5),
+        # demo 04's noisy stream: every noise source and outliers
+        SynthConfig(n_frames=1200, segments=(RevisitSegment(100, 500, 60),
+                                             RevisitSegment(250, 900, 50)),
+                    dim_global=128, features_per_frame=60, sigma_global=0.02,
+                    sigma_px=1.0, outlier_fraction=0.3, sigma_desc=0.05,
+                    exclusion_zone=100, seed=11),
+        SynthConfig(n_frames=120, segments=(RevisitSegment(10, 60, 25),), dim_global=16,
+                    features_per_frame=0, exclusion_zone=20, seed=3),
+        SynthConfig(n_frames=1, dim_global=8, features_per_frame=5, seed=4),
+    ], ids=["two_segments", "demo04_noisy", "no_features", "one_frame"])
+    def test_streams_equal_oracle(self, cfg):
+        ds = generate_synthetic(cfg)
+        frames, planted, gt = oracle_generate_synthetic(cfg)
+        assert len(ds.frames) == len(frames) == cfg.n_frames
+        for (i, g, loc), (oi, og, oloc) in zip(ds.frames, frames):
+            assert (i, g.frame_id, loc.frame_id) == (oi, og.frame_id, oloc.frame_id)
+            assert g.values.tobytes() == og.values.tobytes()
+            for field in ("coords", "scores", "descriptors"):
+                a, b = getattr(loc, field), getattr(oloc, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert list(ds.planted) == list(planted)
+        for q, loop in ds.planted.items():
+            want = planted[q]
+            assert (loop.query_frame, loop.origin_frame, loop.inlier_count) == (
+                want.query_frame, want.origin_frame, want.inlier_count)
+            assert loop.fundamental.tobytes() == want.fundamental.tobytes()
+        assert list(ds.ground_truth.pairs.items()) == list(gt.pairs.items())
+        assert ds.ground_truth.frames == gt.frames
+
+
 def timed_records(ds, cfg):
     _, pipeline = run_pipeline(ds.frames, cfg, ds.config.dim_global)
     return pipeline.records
