@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,15 +291,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=cfg.seed,
     )
     dataset = generate_synthetic(synth_cfg)
-    write_features(
-        cfg.out,
-        dataset.frames,
-        phi=phi,
-        dim_global=synth_cfg.dim_global,
-        dim_local=synth_cfg.dim_local,
-    )
-    if cfg.gt:
-        write_ground_truth(cfg.gt, dataset.ground_truth)
+    # the ground truth's temp file is made first and renamed last, so a run
+    # that fails writes neither file
+    with atomic_output(cfg.gt, "w") if cfg.gt else nullcontext() as gt_file:
+        write_features(
+            cfg.out,
+            dataset.frames,
+            phi=phi,
+            dim_global=synth_cfg.dim_global,
+            dim_local=synth_cfg.dim_local,
+        )
+        if gt_file is not None:
+            write_ground_truth(gt_file, dataset.ground_truth)
     logger.info("wrote %d synthetic frames (%d planted loops) -> %s",
                 len(dataset.frames), len(dataset.planted), cfg.out)
     return 0
@@ -477,17 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "fit a PCA reduction on a container's local descriptors")
     p.add_argument("--out-dim", dest="out_dim", type=int, default=DEFAULT_REDUCED_DIM)
     p.add_argument("--whiten", action="store_true")
-    p.add_argument("--max-samples", dest="max_samples", type=int, default=50000)
+    p.add_argument("--max-samples", dest="max_samples", type=_positive, default=50000)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=os.environ.get(LOG_ENV, "INFO").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get(LOG_ENV, "INFO").upper()
+    if not isinstance(logging.getLevelName(level), int):  # not a level name
+        print(f"error: unknown {LOG_ENV} level {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(stream=sys.stderr, level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -495,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContainerError as exc:

@@ -9,12 +9,13 @@ Layout, all little-endian, floats IEEE-754 binary32:
 
 Rejections carry a machine-readable ``category``: "format" for bad
 magic/version/header values, "corruption" for truncation, count mismatches,
-non-finite payloads or an all-zero global descriptor, "order" for
-non-monotonic frame ids.
+a non-finite or all-zero global descriptor, or local features that
+:class:`LocalFeatureSet` rejects, "order" for non-monotonic frame ids.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 import tempfile
@@ -105,7 +106,8 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
 
     Memory is bounded per frame.  The header is validated before the first
     frame is yielded; every structural defect raises a ContainerError
-    subclass with the offending offset / frame index.
+    subclass with the offending offset / frame index.  A local block is
+    checked by :class:`LocalFeatureSet` alone; its rejections are corruption.
     """
     with open(path, "rb") as f:
         header = _parse_header(f)
@@ -135,26 +137,17 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
                     offset=f.tell(),
                     frame_index=k,
                 )
-            if n_local:
-                block = np.frombuffer(
-                    _read_exact(f, n_local * record, k), dtype="<f4"
-                ).reshape(n_local, 3 + header.dim_local)
-                if not np.isfinite(block).all():
-                    raise CorruptionError(
-                        "non-finite local feature payload", offset=f.tell(), frame_index=k
-                    )
-                if (block[:, 2] < 0).any():
-                    raise CorruptionError(
-                        "negative attention score", offset=f.tell(), frame_index=k
-                    )
+            block = np.frombuffer(
+                _read_exact(f, n_local * record, k), dtype="<f4"
+            ).reshape(n_local, 3 + header.dim_local)
+            try:
                 locals_ = LocalFeatureSet(
-                    frame_id,
-                    block[:, 0:2].copy(),
-                    block[:, 2].copy(),
-                    block[:, 3:].copy(),
+                    frame_id, block[:, 0:2].copy(), block[:, 2].copy(), block[:, 3:].copy()
                 )
-            else:
-                locals_ = LocalFeatureSet.empty(frame_id, header.dim_local)
+            except ValueError as exc:
+                raise CorruptionError(
+                    f"invalid local features: {exc}", offset=f.tell(), frame_index=k
+                ) from exc
             yield frame_id, GlobalDescriptor(frame_id, g), locals_
         if f.read(1):
             raise CorruptionError(
@@ -164,7 +157,10 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
 
 @contextmanager
 def atomic_output(path, mode: str = "wb"):
-    """Write to a same-directory temp file, renamed over ``path`` on success."""
+    """Write to a same-directory temp file, renamed over ``path`` on success;
+    a ``path`` that names a directory is refused before anything is written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
@@ -189,19 +185,17 @@ def write_features(
     dim_global: int | None = None,
     dim_local: int | None = None,
 ) -> None:
-    """Write a container; validates ordering and dimensions before any output.
+    """Write a container in one pass, checking each frame just before its bytes.
 
-    ``s_g`` / ``s_l`` are the feature-extraction image scales, carried as
-    metadata only.  Dimensions are inferred from the first frame unless the
-    frame list is empty, in which case they must be given explicitly.
+    A rejected frame raises and leaves no file at ``path`` (an existing one
+    is kept).  ``s_g`` / ``s_l`` are the feature-extraction image scales,
+    carried as metadata only.  Dimensions are inferred from the first frame
+    unless the frame list is empty, in which case they must be given explicitly.
     """
     frames = list(frames)
     if frames:
-        ids = [f[0] for f in frames]
-        if any(b <= a for a, b in zip(ids, ids[1:])) or min(ids) < 0:
-            raise OrderError("frame ids must be non-negative and strictly ascending")
         dim_global = frames[0][1].dim if dim_global is None else dim_global
-        dim_local = frames[0][2].descriptors.shape[1] if dim_local is None else dim_local
+        dim_local = frames[0][2].dim if dim_local is None else dim_local
     elif dim_global is None or dim_local is None:
         raise ValueError("dim_global and dim_local are required for an empty container")
     if dim_global < 1 or dim_local < 1:  # the reader rejects such a header
@@ -211,28 +205,29 @@ def write_features(
         )
     if phi <= 0 or not np.isfinite(phi):
         raise ValueError(f"phi must be positive and finite, got {phi}")
-    for frame_id, g, locals_ in frames:
-        if g.dim != dim_global:
-            raise ValueError(f"frame {frame_id}: global dimension {g.dim} != {dim_global}")
-        if len(locals_) and locals_.dim != dim_local:
-            raise ValueError(f"frame {frame_id}: local dimension {locals_.dim} != {dim_local}")
-        # checked as stored, so the reader accepts every frame written
-        stored = np.asarray(g.values, dtype="<f4")
-        if not np.isfinite(stored).all():
-            raise ValueError(f"frame {frame_id}: non-finite global descriptor")
-        if not stored.any():
-            raise ValueError(f"frame {frame_id}: zero global descriptor")
 
     with atomic_output(path) as f:
         f.write(_HEADER.pack(MAGIC, VERSION, len(frames), dim_global, dim_local, phi, s_g, s_l))
+        prev_id = -1
         for frame_id, g, locals_ in frames:
+            if frame_id <= prev_id:
+                raise OrderError("frame ids must be non-negative and strictly ascending")
+            prev_id = frame_id
+            if g.dim != dim_global:
+                raise ValueError(f"frame {frame_id}: global dimension {g.dim} != {dim_global}")
+            if locals_.dim != dim_local:
+                raise ValueError(f"frame {frame_id}: local dimension {locals_.dim} != {dim_local}")
+            # checked as stored, so the reader accepts every frame written
+            stored = np.asarray(g.values, dtype="<f4")
+            if not np.isfinite(stored).all():
+                raise ValueError(f"frame {frame_id}: non-finite global descriptor")
+            if not stored.any():
+                raise ValueError(f"frame {frame_id}: zero global descriptor")
+            block = np.empty((len(locals_), 3 + dim_local), dtype="<f4")
+            block[:, 0:2] = locals_.coords
+            block[:, 2] = locals_.scores
+            block[:, 3:] = locals_.descriptors
             f.write(struct.pack("<Q", frame_id))
-            f.write(np.asarray(g.values, dtype="<f4").tobytes())
-            n = len(locals_)
-            f.write(struct.pack("<I", n))
-            if n:
-                block = np.empty((n, 3 + dim_local), dtype="<f4")
-                block[:, 0:2] = locals_.coords
-                block[:, 2] = locals_.scores
-                block[:, 3:] = locals_.descriptors
-                f.write(block.tobytes())
+            f.write(stored.tobytes())
+            f.write(struct.pack("<I", len(block)))
+            f.write(block.tobytes())

@@ -94,7 +94,7 @@ class LocalFeatureSet:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        if n and (scores < 0).any():
+        if (scores < 0).any():
             raise ValueError("attention scores must be non-negative")
 
     @functools.cached_property
@@ -104,15 +104,6 @@ class LocalFeatureSet:
         this runs once per frame."""
         D = np.asarray(self.descriptors, dtype=np.float64)
         return (D * D).sum(axis=1)
-
-    @classmethod
-    def empty(cls, frame_id: int, dim: int) -> "LocalFeatureSet":
-        return cls(
-            frame_id,
-            np.zeros((0, 2), dtype=np.float32),
-            np.zeros(0, dtype=np.float32),
-            np.zeros((0, dim), dtype=np.float32),
-        )
 
     @property
     def dim(self) -> int:
@@ -233,8 +224,6 @@ def reduce_features(model: PcaModel, fs: LocalFeatureSet) -> LocalFeatureSet:
     origin (norm at most 1e-12) are dropped together with their coordinates
     and scores.
     """
-    if len(fs) == 0:
-        return LocalFeatureSet.empty(fs.frame_id, model.out_dim)
     X = np.asarray(fs.descriptors, dtype=np.float64)
     if X.shape[1] != model.raw_dim:
         raise ValueError(

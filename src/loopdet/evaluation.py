@@ -105,12 +105,11 @@ def read_ground_truth(path) -> GroundTruth:
     return GroundTruth({q: frozenset(ms) for q, ms in pairs.items()})
 
 
-def write_ground_truth(path, gt: GroundTruth) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# query_frame,matched_frame\n")
-        for q in sorted(gt.pairs):
-            for m in sorted(gt.pairs[q]):
-                f.write(f"{q},{m}\n")
+def write_ground_truth(fobj: TextIO, gt: GroundTruth) -> None:
+    fobj.write("# query_frame,matched_frame\n")
+    for q in sorted(gt.pairs):
+        for m in sorted(gt.pairs[q]):
+            fobj.write(f"{q},{m}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +428,8 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
             if cfg.sigma_desc > 0:
                 desc_b = desc + cfg.sigma_desc * rng.standard_normal((n_inl, d))
                 desc_b /= np.linalg.norm(desc_b, axis=1, keepdims=True)
-            oa, ob = scene.outlier_pairs(n_out) if n_out else (np.empty((0, 2)),) * 2
-            odesc = _unit_rows(rng, n_out, d) if n_out else np.empty((0, d))
+            oa, ob = scene.outlier_pairs(n_out)
+            odesc = _unit_rows(rng, n_out, d)
             for f, pts, outl, ds in ((o, pa, oa, desc), (i, pb, ob, desc_b)):
                 locals_[f] = LocalFeatureSet(
                     f,

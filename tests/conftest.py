@@ -9,6 +9,16 @@ def unit_rows(rng, n, dim):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
+def empty_set(frame_id, dim):
+    """A frame's feature set with no features, float32 as the reader yields."""
+    return LocalFeatureSet(
+        frame_id,
+        np.zeros((0, 2), dtype=np.float32),
+        np.zeros(0, dtype=np.float32),
+        np.zeros((0, dim), dtype=np.float32),
+    )
+
+
 def planted_matches(seed, n_matches=100, inlier_frac=0.7, sigma_px=0.0):
     """Labeled matches from a random two-view scene, match ``i`` pairing
     feature ``i`` of both sets.

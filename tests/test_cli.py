@@ -3,6 +3,8 @@ import pytest
 
 from loopdet.cli import RunConfig, main
 
+from conftest import empty_set
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -38,6 +40,15 @@ def usage_error(argv, capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err and "resolved config" not in err
     return err.strip().splitlines()[-1]
+
+
+def one_error(capsys) -> str:
+    """The run's one ``error:`` line; no traceback was printed."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error")]
+    assert len(errors) == 1
+    return errors[0]
 
 
 DETECT_FLAGS = ["--psi", 2, "--phi", 10, "--n", 3, "--M", 8,
@@ -132,13 +143,13 @@ class TestDetect:
         assert not out.exists()
 
     def test_zero_global_descriptor_exits_2_without_output(self, tmp_path, capsys):
-        from loopdet import GlobalDescriptor, LocalFeatureSet, write_features
+        from loopdet import GlobalDescriptor, write_features
 
         rng = np.random.default_rng(4)
         feats = tmp_path / "zero.fftc"
         frames = [
             (i, GlobalDescriptor(i, rng.standard_normal(8).astype(np.float32)),
-             LocalFeatureSet.empty(i, 4))
+             empty_set(i, 4))
             for i in range(30)
         ]
         write_features(feats, frames, phi=10.0)
@@ -290,6 +301,19 @@ class TestSynth:
         assert len([ln for ln in err.splitlines() if ln.startswith("error")]) == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("gt, message", [
+        ("nodir/gt.csv", "No such file or directory"),
+        ("gtdir", "Is a directory"),  # an existing directory
+    ])
+    def test_unwritable_gt_writes_neither_file(self, gt, message, tmp_path, capsys):
+        (tmp_path / "gtdir").mkdir()
+        capsys.readouterr()
+        assert run(["synth", "--frames", 50, "--out", tmp_path / "new.fftc",
+                    "--gt", tmp_path / gt]) == 2
+        assert message in one_error(capsys)
+        assert list(tmp_path.iterdir()) == [tmp_path / "gtdir"]
+        assert list((tmp_path / "gtdir").iterdir()) == []
 
     def test_echo_holds_own_flags_in_their_flag_form(self, tmp_path, capsys):
         argv = ["synth", "--frames", 40, "--segments", "1:22:4,8:30:4", "--dim-global", 8,
@@ -461,6 +485,14 @@ class TestFlagSurface:
         assert f"error: argument {flag}: expected a positive integer" in line
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [-5, 0])
+    def test_max_samples_must_be_positive(self, value, tmp_path, capsys):
+        out = tmp_path / "model.fpca"
+        line = usage_error(["pca-fit", "--features", "f.fftc", "--max-samples", value,
+                            "--out", out], capsys)
+        assert "error: argument --max-samples: expected a positive integer" in line
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_tau_range_names_its_form(self, tmp_path, capsys):
         line = usage_error(["eval", "--tau-range", "0", "--out", tmp_path / "pr.csv"], capsys)
         assert "argument --tau-range" in line and "lo:hi" in line
@@ -529,3 +561,29 @@ class TestEvalGroundTruth:
         assert not out.exists()
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
         assert errors == ["error: ground-truth pair for query 500 references unknown frames"]
+
+
+class TestEnvironmentErrors:
+    """An unusable output path or log level exits 2 with one line, writing nothing."""
+
+    BENCH = ["bench", "--bench-frames", 50, "--bench-vectors", 50, "--bench-queries", 5]
+
+    @pytest.mark.parametrize("out, message", [
+        ("taken", "File exists"),
+        ("taken/sub", "Not a directory"),
+    ])
+    def test_bench_out_blocked_by_a_file(self, out, message, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        capsys.readouterr()
+        assert run(self.BENCH + ["--out", tmp_path / out]) == 2
+        assert message in one_error(capsys)
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+    def test_unknown_log_level(self, synth_paths, tmp_path, capsys, monkeypatch):
+        feats, _ = synth_paths
+        monkeypatch.setenv("FILDPP_LOG", "bogus")
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--out", tmp_path / "det.csv"]) == 2
+        assert one_error(capsys) == "error: unknown FILDPP_LOG level 'BOGUS'"
+        assert list(tmp_path.iterdir()) == []

@@ -13,7 +13,7 @@ from loopdet import (
     read_header,
     write_features,
 )
-from conftest import unit_rows
+from conftest import empty_set, unit_rows
 
 
 def make_frames(rng, count=5, dim_global=8, dim_local=4, n_local=3):
@@ -66,10 +66,13 @@ class TestRoundTrip:
     def test_frames_without_local_features(self, tmp_path, rng):
         path = tmp_path / "f.fftc"
         frames = [(0, GlobalDescriptor(0, np.ones(4, dtype=np.float32)),
-                   LocalFeatureSet.empty(0, 2))]
+                   empty_set(0, 2))]
         write_features(path, frames, phi=10.0)
         (fid, g, ls), = read_features(path)
         assert fid == 0 and len(ls) == 0
+        for name in ("coords", "scores", "descriptors"):
+            want = getattr(frames[0][2], name)
+            assert (getattr(ls, name).dtype, getattr(ls, name).shape) == (want.dtype, want.shape)
 
     def test_exact_byte_size(self, tmp_path, rng):
         # header 32 + id 8 + 4 global f32 + count 4 + 2 * (3 + 3) f32
@@ -92,22 +95,36 @@ class TestWriterValidation:
         path = tmp_path / "f.fftc"
         bad = GlobalDescriptor(0, np.array([1.0, np.nan], dtype=np.float32))
         with pytest.raises(ValueError, match="finite"):
-            write_features(path, [(0, bad, LocalFeatureSet.empty(0, 2))], phi=10.0)
+            write_features(path, [(0, bad, empty_set(0, 2))], phi=10.0)
         assert not path.exists()
 
     def test_float32_overflow_rejected(self, tmp_path):
         path = tmp_path / "f.fftc"
         big = GlobalDescriptor(0, np.array([1e39, 1.0]))
         with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
-            write_features(path, [(0, big, LocalFeatureSet.empty(0, 2))], phi=10.0)
+            write_features(path, [(0, big, empty_set(0, 2))], phi=10.0)
         assert not path.exists()
 
     def test_zero_global_rejected(self, tmp_path):
         path = tmp_path / "f.fftc"
         zero = GlobalDescriptor(0, np.zeros(4, dtype=np.float32))
         with pytest.raises(ValueError, match="zero global"):
-            write_features(path, [(0, zero, LocalFeatureSet.empty(0, 2))], phi=10.0)
+            write_features(path, [(0, zero, empty_set(0, 2))], phi=10.0)
         assert not path.exists()
+
+    def test_rejected_frame_mid_stream_leaves_no_file(self, tmp_path, rng):
+        # frames are checked as they are written; the partial file is removed
+        path = tmp_path / "f.fftc"
+        frames = make_frames(rng, count=5)
+        zero = GlobalDescriptor(3, np.zeros(8, dtype=np.float32))
+        for bad, error in (
+            ((3, zero, frames[3][2]), ValueError),
+            ((3, frames[3][1], empty_set(3, 5)), ValueError),  # empty, but 5-d
+            ((1, frames[3][1], frames[3][2]), OrderError),
+        ):
+            with pytest.raises(error):
+                write_features(path, frames[:3] + [bad] + frames[4:], phi=10.0)
+            assert list(tmp_path.iterdir()) == []
 
     def test_empty_needs_explicit_dims(self, tmp_path):
         with pytest.raises(ValueError):
@@ -120,7 +137,7 @@ class TestWriterValidation:
         for frames, dims in (
             ([], dict(dim_global=0, dim_local=3)),
             ([], dict(dim_global=4, dim_local=0)),
-            ([(0, g, LocalFeatureSet.empty(0, 0))], {}),
+            ([(0, g, empty_set(0, 0))], {}),
         ):
             with pytest.raises(ValueError, match="dimensions must be positive"):
                 write_features(path, frames, phi=10.0, **dims)
@@ -231,6 +248,25 @@ class TestReaderRejections:
         assert err.value.frame_index == 25
         assert err.value.offset == start + 8 * 4
         assert "frame 25" in str(err.value)
+
+    @pytest.mark.parametrize("frame, column, value", [
+        (1, 0, float("nan")),  # frame 1's first keypoint x
+        (2, 2, -1.0),  # frame 2's first attention score
+    ])
+    def test_local_payload_rejected_by_the_feature_set(self, frame, column, value, tmp_path,
+                                                       rng):
+        path = tmp_path / "f.fftc"
+        write_sample(path, rng, count=3, dim_global=4, dim_local=2, n_local=2)
+        raw = bytearray(path.read_bytes())
+        record = 8 + 4 * 4 + 4 + 2 * (3 + 2) * 4
+        block = 32 + frame * record + 8 + 4 * 4 + 4  # the frame's first local feature
+        raw[block + 4 * column : block + 4 * column + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError) as err:
+            list(read_features(path))
+        assert err.value.category == "corruption"
+        assert err.value.frame_index == frame
+        assert err.value.offset == 32 + (frame + 1) * record
 
     def test_zero_dimension_header(self, tmp_path, rng):
         path = tmp_path / "f.fftc"

@@ -17,6 +17,7 @@ from loopdet import (
     reduce_features,
     save_pca_model,
 )
+from conftest import empty_set
 
 
 def feature_set(scores, dim=4, frame_id=0, rng=None):
@@ -181,6 +182,16 @@ class TestReduceLocal:
         model = self.make_model(rng)
         with pytest.raises(ValueError):
             reduce_one(model, np.ones(5))
+
+    def test_empty_set_is_projected_like_any_other(self, rng):
+        # (0, out_dim) float64 out, as every reduced set; a dimension other
+        # than the model's raw_dim is rejected, rows or not
+        model = self.make_model(rng, raw_dim=8, out_dim=2)
+        out = reduce_features(model, empty_set(3, 8))
+        assert out.frame_id == 3 and len(out) == 0
+        assert out.descriptors.shape == (0, 2) and out.descriptors.dtype == np.float64
+        with pytest.raises(ValueError, match="raw_dim"):
+            reduce_features(model, empty_set(3, 5))
 
     def test_whiten_divides_by_sqrt_eigenvalue(self, rng):
         samples = rng.standard_normal((100, 8))

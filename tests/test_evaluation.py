@@ -90,7 +90,8 @@ class TestGroundTruthCsv:
     def test_round_trip(self, tmp_path):
         gt = gt_of([(5, 1), (5, 2), (9, 3)])
         path = tmp_path / "gt.csv"
-        write_ground_truth(path, gt)
+        with open(path, "w", encoding="utf-8") as f:
+            write_ground_truth(f, gt)
         loaded = read_ground_truth(path)
         assert loaded.pairs == gt.pairs
 

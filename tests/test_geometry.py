@@ -25,7 +25,7 @@ from loopdet import (
     run_pipeline,
     sampson_distance,
 )
-from conftest import planted_matches, unit_rows
+from conftest import empty_set, planted_matches, unit_rows
 
 
 def descriptor_set(descriptors, frame_id=0, coords=None):
@@ -461,7 +461,7 @@ class TestBruteForceMatch:
     def test_small_candidate_set_yields_nothing(self):
         a = descriptor_set([[1, 0]])
         assert len(brute_force_match(a, descriptor_set([[1, 0]]), 0.7)) == 0
-        assert len(brute_force_match(a, LocalFeatureSet.empty(1, 2), 0.7)) == 0
+        assert len(brute_force_match(a, empty_set(1, 2), 0.7)) == 0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):

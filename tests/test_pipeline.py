@@ -19,7 +19,7 @@ from loopdet import (
     replay_detections,
     run_pipeline,
 )
-from conftest import unit_rows
+from conftest import empty_set, unit_rows
 
 FAST_HNSW = HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1)
 
@@ -37,7 +37,7 @@ def drifting_frames(rng, count, dim=16):
     frames = []
     v = unit_rows(rng, 1, dim)[0]
     for i in range(count):
-        frames.append((i, GlobalDescriptor(i, v.astype(np.float32)), LocalFeatureSet.empty(i, 4)))
+        frames.append((i, GlobalDescriptor(i, v.astype(np.float32)), empty_set(i, 4)))
         w = unit_rows(rng, 1, dim)[0]
         v = 0.97 * v + 0.243 * w
         v /= np.linalg.norm(v)
@@ -122,14 +122,14 @@ class TestProcessFrame:
         cfg = tiny_config()
         pipe = LoopClosurePipeline(cfg, 16)
         g = GlobalDescriptor(5, unit_rows(rng, 1, 16)[0])
-        pipe.process_frame(5, g, LocalFeatureSet.empty(5, 4))
+        pipe.process_frame(5, g, empty_set(5, 4))
         with pytest.raises(ValueError, match="increasing"):
-            pipe.process_frame(5, g, LocalFeatureSet.empty(5, 4))
+            pipe.process_frame(5, g, empty_set(5, 4))
 
     def test_dimension_mismatch_rejected(self, rng):
         pipe = LoopClosurePipeline(tiny_config(), 16)
         with pytest.raises(ValueError, match="dimension"):
-            pipe.process_frame(0, GlobalDescriptor(0, np.ones(8)), LocalFeatureSet.empty(0, 4))
+            pipe.process_frame(0, GlobalDescriptor(0, np.ones(8)), empty_set(0, 4))
 
     def test_zero_descriptor_rejected_before_any_state_changes(self, rng):
         cfg = tiny_config()  # N_non = 20
@@ -144,7 +144,7 @@ class TestProcessFrame:
             g = np.zeros(16)
             g[3] = bad
             with pytest.raises(DegenerateDescriptorError):
-                pipe.process_frame(25, GlobalDescriptor(25, g), LocalFeatureSet.empty(25, 4))
+                pipe.process_frame(25, GlobalDescriptor(25, g), empty_set(25, 4))
             assert list(pipe.fifo) == fifo
             assert len(pipe.index) == indexed
             assert pipe.records == records
@@ -163,7 +163,7 @@ class TestProcessFrame:
         records, last = list(pipe.records), pipe._last_frame_id
         v = unit_rows(rng, 1, 16)[0]
         g = GlobalDescriptor(24 if named == "global" else 25, v)
-        lf = LocalFeatureSet.empty(24 if named == "locals" else 25, 4)
+        lf = empty_set(24 if named == "locals" else 25, 4)
         with pytest.raises(ValueError, match="names frame 24"):
             pipe.process_frame(25, g, lf)
         assert list(pipe.fifo) == fifo
@@ -171,7 +171,7 @@ class TestProcessFrame:
         assert pipe.records == records
         assert pipe._last_frame_id == last == 24
         assert 25 not in pipe.locals_store
-        pipe.process_frame(25, GlobalDescriptor(25, v), LocalFeatureSet.empty(25, 4))
+        pipe.process_frame(25, GlobalDescriptor(25, v), empty_set(25, 4))
 
     def test_local_dimension_change_rejected_before_any_state_changes(self, rng):
         cfg = tiny_config(psi=1.0, phi=2.0)  # N_non = 2
@@ -283,7 +283,7 @@ class TestSearchableRegion:
     def run_empty_frames(self, count, cfg, dim=8):
         rng = np.random.default_rng(0)
         frames = [
-            (i, GlobalDescriptor(i, unit_rows(rng, 1, dim)[0]), LocalFeatureSet.empty(i, 4))
+            (i, GlobalDescriptor(i, unit_rows(rng, 1, dim)[0]), empty_set(i, 4))
             for i in range(count)
         ]
         _, pipe = run_pipeline(frames, cfg, dim)
