@@ -158,11 +158,15 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
 @contextmanager
 def atomic_output(path, mode: str = "wb"):
     """Write to a same-directory temp file, renamed over ``path`` on success;
-    a ``path`` that names a directory is refused before anything is written."""
+    a ``path`` that names a directory is refused before anything is written.
+    A temp file that cannot be made is reported under ``path``."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, mode) as f:
             yield f
@@ -227,6 +231,8 @@ def write_features(
             block[:, 0:2] = locals_.coords
             block[:, 2] = locals_.scores
             block[:, 3:] = locals_.descriptors
+            if not np.isfinite(block).all():
+                raise ValueError(f"frame {frame_id}: non-finite local features")
             f.write(struct.pack("<Q", frame_id))
             f.write(stored.tobytes())
             f.write(struct.pack("<I", len(block)))

@@ -99,10 +99,10 @@ class LocalFeatureSet:
 
     @functools.cached_property
     def _sq_norms(self) -> np.ndarray:
-        """Float64 squared descriptor norms, computed on first use.  A frame's
+        """Float32 squared descriptor norms, computed on first use.  A frame's
         set is matched against every candidate and later stored as one, so
         this runs once per frame."""
-        D = np.asarray(self.descriptors, dtype=np.float64)
+        D = np.asarray(self.descriptors, np.float32)
         return (D * D).sum(axis=1)
 
     @property

@@ -263,7 +263,13 @@ class SynthConfig:
 
 @dataclass(frozen=True, eq=False)
 class PlantedLoop:
-    """Generator-side truth for one loop pair."""
+    """Generator-side truth for one loop pair.
+
+    ``fundamental`` satisfies ``x_query^T F x_origin = 0``, as
+    ``sampson_distance(fundamental, origin_points, query_points)`` reads it.
+    ``ransac_fundamental(matches, query, origin)``, as the pipeline calls it,
+    estimates its transpose.
+    """
 
     query_frame: int
     origin_frame: int

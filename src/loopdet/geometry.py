@@ -76,10 +76,6 @@ class VerificationResult:
         return len(self.inlier_indices)
 
 
-# elements of a row block of the distance matrix (64 KiB of float64)
-_BLOCK_ELEMENTS = 8192
-
-
 def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) -> Matches:
     """Exhaustive nearest-neighbor matching with a distance-ratio check.
 
@@ -91,42 +87,39 @@ def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) ->
     feature).  Returns no matches when ``b`` has fewer than two features,
     since the ratio is then undefined.
 
-    Squared distances are ``|a|^2 + |b|^2 - 2 a.b`` in float64, with the
+    Distances are float32, the container's precision.  Each row ranks
+    ``|b|^2 - 2 a.b``, one GEMM on the descriptors cast to float32 with the
     squared norms cached on each set, so a frame's norms are computed once
-    however many candidates it meets.  Rounding can make a distance slightly
-    negative; only the two picked per row are clamped at zero.  A row with
-    two or more entries at or below zero is rejected either way, and a row
-    with one picks it either way, so the result equals clamping the matrix.
+    however many candidates it meets.  ``|a|^2`` is added to the two picked
+    values only, which are then clamped at zero: rounding can put a squared
+    distance slightly below it, and a row whose two picks are both at or
+    below zero is rejected as a tie.  ``dist`` is float32; the ratio is
+    tested in float64, whatever the type of ``epsilon``.
     """
     if len(a) and len(b) and a.dim != b.dim:
         raise ValueError(f"descriptor dimension mismatch: {a.dim} vs {b.dim}")
     if len(a) == 0 or len(b) < 2:
         none = np.empty(0, np.intp)
-        return Matches(none, none, np.empty(0))
-    # cast and double the query in one pass; scaling by two is exact, so
-    # (2A) B^T equals 2 (A B^T) bit for bit
-    A2 = np.multiply(a.descriptors, 2.0, dtype=np.float64)
-    d2 = A2 @ np.asarray(b.descriptors, dtype=np.float64).T
-    # d2 = (|a|^2 + |b|^2) - d2 in blocks of rows, which stay in cache.  The
-    # norm sums are products [|a|^2, 1] [1, |b|^2]^T: each entry adds two
-    # exact terms and zeros, so it rounds once, as a broadcast sum does, and
-    # a GEMM writes it faster than numpy broadcasts it
-    left = np.ones((d2.shape[0], 2))
-    left[:, 0] = a._sq_norms
-    right = np.ones((2, d2.shape[1]))
-    right[1] = b._sq_norms
-    step = max(1, _BLOCK_ELEMENTS // d2.shape[1])
-    for i in range(0, d2.shape[0], step):
-        block = d2[i : i + step]
-        np.subtract(left[i : i + step] @ right, block, out=block)
-    # two argmin passes instead of a sort: argmin keeps the first of tied
-    # minima, and once it is masked the next argmin finds the second distance
-    rows = np.arange(d2.shape[0])
-    first = d2.argmin(axis=1)
-    d1 = np.sqrt(np.maximum(d2[rows, first], 0.0))
-    d2[rows, first] = np.inf
-    dn2 = np.sqrt(np.maximum(d2[rows, d2.argmin(axis=1)], 0.0))
-    accepted = (d1 < epsilon * dn2).nonzero()[0]
+        return Matches(none, none, np.empty(0, np.float32))
+    # scaling by -2 is exact, so (-2A) B^T equals -2 (A B^T) bit for bit
+    # (outside the subnormal range), and costs a pass over A instead of E
+    A = np.multiply(a.descriptors, -2.0, dtype=np.float32)
+    E = A @ np.asarray(b.descriptors, np.float32).T
+    E += b._sq_norms
+    # argmin keeps the first of tied minima; once it is masked, a second
+    # argmin finds the second nearest (numpy's row argmin is faster than its
+    # row min)
+    rows = np.arange(len(E))
+    first = E.argmin(axis=1)
+    picked = np.empty((2, len(E)), np.float32)
+    picked[0] = E[rows, first]
+    E[rows, first] = np.inf
+    picked[1] = E[rows, E.argmin(axis=1)]
+    picked += a._sq_norms
+    np.maximum(picked, 0.0, out=picked)
+    np.sqrt(picked, out=picked)
+    d1, dn2 = picked
+    accepted = (d1 < np.multiply(dn2, epsilon, dtype=np.float64)).nonzero()[0]
     return Matches(accepted, first[accepted], d1[accepted])
 
 

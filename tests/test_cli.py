@@ -311,7 +311,9 @@ class TestSynth:
         capsys.readouterr()
         assert run(["synth", "--frames", 50, "--out", tmp_path / "new.fftc",
                     "--gt", tmp_path / gt]) == 2
-        assert message in one_error(capsys)
+        error = one_error(capsys)
+        # the path given, not the temp file beside it
+        assert message in error and error.endswith(f"'{tmp_path / gt}'")
         assert list(tmp_path.iterdir()) == [tmp_path / "gtdir"]
         assert list((tmp_path / "gtdir").iterdir()) == []
 

@@ -105,6 +105,15 @@ class TestWriterValidation:
             write_features(path, [(0, big, empty_set(0, 2))], phi=10.0)
         assert not path.exists()
 
+    def test_float32_overflow_of_local_features_rejected(self, tmp_path):
+        # a keypoint coordinate that the float32 record stores as inf
+        path = tmp_path / "f.fftc"
+        g = GlobalDescriptor(0, np.ones(4, dtype=np.float32))
+        locals_ = LocalFeatureSet(0, [[1e39, 1.0]], [1.0], [[1.0, 0.0]])
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="non-finite local"):
+            write_features(path, [(0, g, locals_)], phi=10.0)
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_global_rejected(self, tmp_path):
         path = tmp_path / "f.fftc"
         zero = GlobalDescriptor(0, np.zeros(4, dtype=np.float32))

@@ -42,8 +42,24 @@ def descriptor_set(descriptors, frame_id=0, coords=None):
 
 
 def oracle_match(a, b, epsilon):
-    """Ratio test by a stable sort of every row of the clamped distance
-    matrix, with the norms computed afresh on every call."""
+    """Ratio test by a stable sort of every row of ``|b|^2 - 2 a.b`` in
+    float32, with the norms computed afresh on every call and ``|a|^2``
+    added to the two picked values only."""
+    if len(a) == 0 or len(b) < 2:
+        return Matches(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.float32))
+    A = np.asarray(a.descriptors, np.float32)
+    B = np.asarray(b.descriptors, np.float32)
+    E = (B * B).sum(axis=1) - 2 * (A @ B.T)
+    order = np.argsort(E, axis=1, kind="stable")[:, :2]
+    picked = np.take_along_axis(E, order, axis=1) + (A * A).sum(axis=1)[:, None]
+    d1, dn2 = np.sqrt(np.maximum(picked, 0.0)).T
+    accepted = d1 < epsilon * dn2.astype(np.float64)
+    return Matches(np.nonzero(accepted)[0], order[accepted, 0], d1[accepted])
+
+
+def float64_oracle_match(a, b, epsilon):
+    """The float64 matcher that float32 matching replaced: a stable sort of
+    every row of the clamped ``|a|^2 + |b|^2 - 2 a.b``."""
     if len(a) == 0 or len(b) < 2:
         return Matches(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
     A = np.asarray(a.descriptors, dtype=np.float64)
@@ -182,6 +198,26 @@ def match_set(m, inlier_frac, seed, duplicate):
     return a, b, matches
 
 
+def revisit_outcome():
+    """Every frame's record, timings aside, and the detecting frames of a
+    revisit stream with 30% outlier features and noisy descriptor copies."""
+    dataset = generate_synthetic(SynthConfig(
+        n_frames=120, segments=(RevisitSegment(10, 60, 25),), dim_global=32,
+        features_per_frame=60, outlier_fraction=0.3, sigma_px=1.0,
+        sigma_desc=0.05, exclusion_zone=20, seed=5,
+    ))
+    config = PipelineConfig(
+        psi=2.0, phi=10.0, n=3, tau=10, delta=0.0, seed=1,
+        hnsw=HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1),
+    )
+    detections, pipe = run_pipeline(dataset.frames, config, 32)
+    records = [
+        (r.query_frame, r.matched_frame, r.inlier_count, np.float64(r.similarity).tobytes())
+        for r in pipe.records
+    ]
+    return records, [d.query_frame for d in detections]
+
+
 class TestBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -233,8 +269,8 @@ class TestBitIdentity:
         st.sampled_from([0.5, 0.7, 0.95]),
         st.booleans(),
     )
-    @example(6, [8, 5, 12], 8, 7, 0.7, True)  # x86-64 OpenBLAS: a row with two below zero
-    @example(40, [300, 8193], 40, 3, 0.7, True)  # row blocks of 27 + 13 rows, then of 1 row
+    @example(6, [8, 5, 12], 8, 1, 0.7, True)  # x86-64 OpenBLAS: a row with two picks below zero
+    @example(40, [300, 8193], 40, 3, 0.7, True)  # the shapes of revisit_dense, then a wide set
     def test_one_query_against_many_candidates(self, na, sizes, dim, seed, epsilon, duplicate):
         # the query's cached norms serve every candidate; the oracle
         # computes all norms afresh
@@ -246,18 +282,20 @@ class TestBitIdentity:
         assert "_sq_norms" in vars(query)
 
     def test_rows_with_negative_squared_distances(self):
-        # whatever the BLAS build rounds, setting the query's cached norm one
-        # ulp low puts the squared distance to each copy of it below zero
+        # whatever the BLAS build rounds, setting the query's cached float32
+        # norm one ulp low puts the squared distance to each copy of row 0
+        # below zero; row 1's norm is set high, so its distance to a copy is
+        # 2**-11 where the true norm gives 0, which shows the cache is read
         a = descriptor_set([[1.0, 0.0], [0.0, 1.0]])
-        vars(a)["_sq_norms"] = np.array([1.0 - 2.0**-52, 1.0])
-        assert a._sq_norms[0] + 1.0 - 2.0 < 0.0
+        vars(a)["_sq_norms"] = np.array([1.0 - 2.0**-24, 1.0 + 2.0**-22], np.float32)
+        assert a._sq_norms[0] - np.float32(1.0) < 0.0
         twice = descriptor_set([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 1)
         once = descriptor_set([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], 2)
-        # row 0: two entries below zero, rejected as a tie at zero
-        assert [(m.idx_a, m.idx_b) for m in brute_force_match(a, twice, 0.7)] == [(1, 2)]
-        # row 0: one entry below zero, matched at distance 0
+        # row 0: two picks below zero, rejected as a tie at zero
+        assert list(brute_force_match(a, twice, 0.7)) == [geometry.Match(1, 2, 2.0**-11)]
+        # row 0: one pick below zero, matched at distance 0
         assert list(brute_force_match(a, once, 0.7)) == [
-            geometry.Match(0, 1, 0.0), geometry.Match(1, 0, 0.0)
+            geometry.Match(0, 1, 0.0), geometry.Match(1, 0, 2.0**-11)
         ]
 
     def test_ties_go_to_the_lowest_index(self):
@@ -322,38 +360,37 @@ class TestBitIdentity:
             assert np.array_equal(result.matrix.m, expected[0])
 
     def test_pipeline_equals_oracle_verifier(self, monkeypatch):
-        # a revisit stream with 30% outlier features, run once as shipped and
-        # once with verification done by the oracles
-        dataset = generate_synthetic(SynthConfig(
-            n_frames=120, segments=(RevisitSegment(10, 60, 25),), dim_global=32,
-            features_per_frame=60, outlier_fraction=0.3, sigma_px=1.0,
-            sigma_desc=0.05, exclusion_zone=20, seed=5,
-        ))
-        config = PipelineConfig(
-            psi=2.0, phi=10.0, n=3, tau=10, delta=0.0, seed=1,
-            hnsw=HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1),
-        )
-
-        def outcome():
-            detections, pipe = run_pipeline(dataset.frames, config, 32)
-            records = [
-                (r.query_frame, r.matched_frame, r.inlier_count,
-                 np.float64(r.similarity).tobytes())
-                for r in pipe.records
-            ]
-            return records, [d.query_frame for d in detections]
-
+        # run once as shipped and once with verification done by the oracles
         def oracle_verifier(matches, a, b, tau, rng):
             found = oracle_ransac(matches, a, b, tau, rng)
             if found is None:
                 return None
             return VerificationResult(FundamentalMatrix(found[0]), found[1])
 
-        fast = outcome()
+        fast = revisit_outcome()
         monkeypatch.setattr(pipeline, "brute_force_match", oracle_match)
         monkeypatch.setattr(pipeline, "ransac_fundamental", oracle_verifier)
-        assert outcome() == fast
+        assert revisit_outcome() == fast
         assert len(fast[1]) > 0 and any(r[2] >= 8 for r in fast[0])
+
+    def test_float32_matching_keeps_the_float64_records(self, monkeypatch):
+        # the change from float64 to float32 matching: where revisit
+        # descriptors are noisy copies, every match call keeps its index
+        # pairs and every frame its record
+        same_pairs = []
+
+        def float64_matching(a, b, epsilon):
+            new, old = brute_force_match(a, b, epsilon), float64_oracle_match(a, b, epsilon)
+            same_pairs.append(
+                np.array_equal(new.idx_a, old.idx_a) and np.array_equal(new.idx_b, old.idx_b)
+            )
+            return old
+
+        shipped = revisit_outcome()
+        monkeypatch.setattr(pipeline, "brute_force_match", float64_matching)
+        assert revisit_outcome() == shipped
+        assert len(same_pairs) > 0 and all(same_pairs)
+        assert len(shipped[1]) > 0 and any(r[2] >= 8 for r in shipped[0])
 
     @pytest.mark.parametrize("m, inlier_frac, seed, duplicate", [
         (300, 0.0, 3, False),  # the full budget of 500
@@ -441,11 +478,12 @@ class TestBruteForceMatch:
         assert [(m.idx_a, m.idx_b, m.dist) for m in matches] == [(0, 0, 0.0)]
 
     def test_ratio_boundary_is_strict(self):
-        # d1 = 0.7, d2 = 1.0: 0.7 < 0.7 * 1.0 is false -> rejected
+        # d1 = 0.5, d2 = 1.0, both exact in float32: 0.5 < 0.5 * 1.0 is
+        # false -> rejected
         a = descriptor_set([[0.0]])
-        b = descriptor_set([[0.7], [1.0]])
-        assert len(brute_force_match(a, b, 0.7)) == 0
-        assert len(brute_force_match(a, b, 0.71)) == 1
+        b = descriptor_set([[0.5], [1.0]])
+        assert len(brute_force_match(a, b, 0.5)) == 0
+        assert list(brute_force_match(a, b, 0.51)) == [geometry.Match(0, 0, 0.5)]
 
     def test_planted_correspondences_recovered(self, rng):
         planted = unit_rows(rng, 100, 40)
