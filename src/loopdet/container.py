@@ -7,9 +7,9 @@ Layout, all little-endian, floats IEEE-754 binary32:
     frame:    u64 frame_id, f32 global[D], u32 n_local,
               n_local x (f32 x, f32 y, f32 score, f32 desc[d])
 
-Rejections carry a machine-readable ``category``: "format" for bad
-magic/version/header values, "corruption" for truncation, count mismatches,
-a non-finite or all-zero global descriptor, or local features that
+Rejections carry a machine-readable ``category``: "format" for bad magic or
+a header that :class:`ContainerHeader` rejects, "corruption" for truncation,
+count mismatches or a frame that :class:`GlobalDescriptor` or
 :class:`LocalFeatureSet` rejects, "order" for non-monotonic frame ids.
 """
 
@@ -20,7 +20,7 @@ import os
 import struct
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -63,6 +63,9 @@ class OrderError(ContainerError):
 
 @dataclass(frozen=True)
 class ContainerHeader:
+    """Version 1, both dimensions at least 1.  The float fields hold their
+    float32 values, and ``phi`` must be positive and finite as float32."""
+
     frame_count: int
     dim_global: int
     dim_local: int
@@ -70,6 +73,18 @@ class ContainerHeader:
     s_g: float
     s_l: float
     version: int = VERSION
+
+    def __post_init__(self):
+        if self.version != VERSION:
+            raise ValueError(f"unsupported container version {self.version}")
+        if self.dim_global < 1 or self.dim_local < 1:
+            raise ValueError(f"descriptor dimensions must be positive, got "
+                             f"D={self.dim_global} d={self.dim_local}")
+        with np.errstate(over="ignore"):  # an overflow is inf
+            if not 0 < np.float32(self.phi) < np.inf:
+                raise ValueError(f"phi must be positive and finite as float32, got {self.phi}")
+            for name in ("phi", "s_g", "s_l"):
+                object.__setattr__(self, name, float(np.float32(getattr(self, name))))
 
 
 def _read_exact(f: BinaryIO, n: int, frame_index: int | None = None) -> bytes:
@@ -84,16 +99,13 @@ def _parse_header(f: BinaryIO) -> ContainerHeader:
     raw = f.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise FormatError("file too short for a container header")
-    magic, version, count, dim_g, dim_l, phi, s_g, s_l = _HEADER.unpack(raw)
+    magic, version, *values = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}")
-    if dim_g < 1 or dim_l < 1:
-        raise FormatError(f"descriptor dimensions must be positive, got D={dim_g} d={dim_l}")
-    if not np.isfinite(phi) or phi <= 0:
-        raise FormatError(f"frame rate must be positive and finite, got {phi}")
-    return ContainerHeader(count, dim_g, dim_l, float(phi), float(s_g), float(s_l))
+    try:
+        return ContainerHeader(*values, version=version)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def read_header(path) -> ContainerHeader:
@@ -106,8 +118,8 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
 
     Memory is bounded per frame.  The header is validated before the first
     frame is yielded; every structural defect raises a ContainerError
-    subclass with the offending offset / frame index.  A local block is
-    checked by :class:`LocalFeatureSet` alone; its rejections are corruption.
+    subclass with the offending offset / frame index, as does a frame that
+    :class:`GlobalDescriptor` or :class:`LocalFeatureSet` rejects.
     """
     with open(path, "rb") as f:
         header = _parse_header(f)
@@ -121,15 +133,11 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
                     f"frame ids not strictly ascending: {frame_id} after {prev_id}"
                 )
             prev_id = frame_id
-            g = np.frombuffer(
-                _read_exact(f, 4 * header.dim_global, k), dtype="<f4"
-            ).copy()
-            if not np.isfinite(g).all():
-                raise CorruptionError(
-                    "non-finite global descriptor", offset=f.tell(), frame_index=k
-                )
-            if not g.any():
-                raise CorruptionError("zero global descriptor", offset=f.tell(), frame_index=k)
+            g = np.frombuffer(_read_exact(f, 4 * header.dim_global, k), dtype="<f4")
+            try:
+                g = GlobalDescriptor(frame_id, g.copy())
+            except ValueError as exc:
+                raise CorruptionError(str(exc), offset=f.tell(), frame_index=k) from exc
             (n_local,) = struct.unpack("<I", _read_exact(f, 4, k))
             if n_local * record > file_size - f.tell():
                 raise CorruptionError(
@@ -141,14 +149,11 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
                 _read_exact(f, n_local * record, k), dtype="<f4"
             ).reshape(n_local, 3 + header.dim_local)
             try:
-                locals_ = LocalFeatureSet(
-                    frame_id, block[:, 0:2].copy(), block[:, 2].copy(), block[:, 3:].copy()
-                )
+                locals_ = LocalFeatureSet(frame_id, block[:, 0:2].copy(), block[:, 2].copy(),
+                                          block[:, 3:].copy())
             except ValueError as exc:
-                raise CorruptionError(
-                    f"invalid local features: {exc}", offset=f.tell(), frame_index=k
-                ) from exc
-            yield frame_id, GlobalDescriptor(frame_id, g), locals_
+                raise CorruptionError(str(exc), offset=f.tell(), frame_index=k) from exc
+            yield frame_id, g, locals_
         if f.read(1):
             raise CorruptionError(
                 "trailing bytes after declared frame count", offset=f.tell() - 1
@@ -191,10 +196,11 @@ def write_features(
 ) -> None:
     """Write a container in one pass, checking each frame just before its bytes.
 
-    A rejected frame raises and leaves no file at ``path`` (an existing one
-    is kept).  ``s_g`` / ``s_l`` are the feature-extraction image scales,
-    carried as metadata only.  Dimensions are inferred from the first frame
-    unless the frame list is empty, in which case they must be given explicitly.
+    Frame types check their values as float32, so every frame that can be
+    built is one the reader accepts; :class:`ContainerHeader` checks the
+    header.  A rejected frame leaves no file at ``path`` (an existing one is
+    kept).  ``s_g`` / ``s_l`` are image scales, metadata only.  Dimensions
+    come from the first frame, and must be given for an empty frame list.
     """
     frames = list(frames)
     if frames:
@@ -202,38 +208,23 @@ def write_features(
         dim_local = frames[0][2].dim if dim_local is None else dim_local
     elif dim_global is None or dim_local is None:
         raise ValueError("dim_global and dim_local are required for an empty container")
-    if dim_global < 1 or dim_local < 1:  # the reader rejects such a header
-        raise ValueError(
-            f"descriptor dimensions must be positive, got dim_global={dim_global} "
-            f"dim_local={dim_local}"
-        )
-    if phi <= 0 or not np.isfinite(phi):
-        raise ValueError(f"phi must be positive and finite, got {phi}")
+    h = ContainerHeader(len(frames), dim_global, dim_local, phi, s_g, s_l)
 
     with atomic_output(path) as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, len(frames), dim_global, dim_local, phi, s_g, s_l))
+        f.write(_HEADER.pack(MAGIC, h.version, *astuple(h)[:-1]))
         prev_id = -1
         for frame_id, g, locals_ in frames:
             if frame_id <= prev_id:
                 raise OrderError("frame ids must be non-negative and strictly ascending")
             prev_id = frame_id
-            if g.dim != dim_global:
-                raise ValueError(f"frame {frame_id}: global dimension {g.dim} != {dim_global}")
-            if locals_.dim != dim_local:
-                raise ValueError(f"frame {frame_id}: local dimension {locals_.dim} != {dim_local}")
-            # checked as stored, so the reader accepts every frame written
-            stored = np.asarray(g.values, dtype="<f4")
-            if not np.isfinite(stored).all():
-                raise ValueError(f"frame {frame_id}: non-finite global descriptor")
-            if not stored.any():
-                raise ValueError(f"frame {frame_id}: zero global descriptor")
+            if (g.dim, locals_.dim) != (dim_global, dim_local):
+                raise ValueError(f"frame {frame_id}: dimensions D={g.dim} d={locals_.dim}, "
+                                 f"container D={dim_global} d={dim_local}")
             block = np.empty((len(locals_), 3 + dim_local), dtype="<f4")
             block[:, 0:2] = locals_.coords
             block[:, 2] = locals_.scores
             block[:, 3:] = locals_.descriptors
-            if not np.isfinite(block).all():
-                raise ValueError(f"frame {frame_id}: non-finite local features")
             f.write(struct.pack("<Q", frame_id))
-            f.write(stored.tobytes())
+            f.write(np.asarray(g.values, dtype="<f4").tobytes())
             f.write(struct.pack("<I", len(block)))
             f.write(block.tobytes())

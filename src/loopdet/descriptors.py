@@ -9,6 +9,7 @@ L2-normalize -> PCA project -> L2-renormalize reduction chain.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -43,9 +44,17 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return w / float(np.linalg.norm(w))
 
 
+def _float32_peak(a: np.ndarray) -> float:
+    """The largest magnitude of ``a`` cast to float32 (inf from 2**128 - 2**103
+    up, NaN if ``a`` holds one); rounding is monotone, so only the peak is cast."""
+    peak = float(np.abs(a).max(initial=0.0))
+    return math.inf if peak >= 2.0**128 - 2.0**103 else float(np.float32(peak))
+
+
 @dataclass(frozen=True, eq=False)
 class GlobalDescriptor:
-    """Per-frame retrieval vector."""
+    """Per-frame retrieval vector; one that is not finite, or is all zero, as
+    float32 (the container's precision) raises :class:`DegenerateDescriptorError`."""
 
     frame_id: int
     values: np.ndarray
@@ -56,6 +65,11 @@ class GlobalDescriptor:
         values = np.asarray(self.values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("descriptor values must be a non-empty 1-d vector")
+        peak = _float32_peak(values)
+        if not peak < math.inf:  # also for NaN
+            raise DegenerateDescriptorError("non-finite global descriptor")
+        if peak == 0:
+            raise DegenerateDescriptorError("zero global descriptor")
         object.__setattr__(self, "values", values)
 
     @property
@@ -68,8 +82,11 @@ class LocalFeatureSet:
     """Ordered local features of one frame, stored column-wise for speed.
 
     ``coords`` is (n, 2), ``scores`` is (n,), ``descriptors`` is (n, d).
-    The set is frozen because it caches the squared descriptor norms that
-    matching reads, so ``descriptors`` must not be written in place either.
+    As float32, the container's and matching's precision, coords and scores
+    are finite, scores non-negative, and descriptor entries at most
+    ``2**62 / sqrt(d)`` in magnitude, so norms are at most 2**62 (4.6e18) and
+    matching cannot overflow.  The set is frozen because it caches the squared
+    descriptor norms, so ``descriptors`` must not be written in place either.
     """
 
     frame_id: int
@@ -90,12 +107,16 @@ class LocalFeatureSet:
             raise ValueError(
                 f"descriptor count {descriptors.shape[0]} does not match {n} features"
             )
-        for name, arr in (("coords", coords), ("scores", scores), ("descriptors", descriptors)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
+        for name, arr in (("coords", coords), ("scores", scores)):
+            if not _float32_peak(arr) < math.inf:
+                raise ValueError(f"{name} must be finite as float32")
             object.__setattr__(self, name, arr)
         if (scores < 0).any():
             raise ValueError("attention scores must be non-negative")
+        # norms of at most 2**62 keep |a|^2 - 2 a.b + |b|^2 below 2**126
+        if not descriptors.shape[1] * _float32_peak(descriptors) ** 2 <= 2.0**124:
+            raise ValueError("descriptors must be finite, entries at most 2**62 / sqrt(d)")
+        object.__setattr__(self, "descriptors", descriptors)
 
     @functools.cached_property
     def _sq_norms(self) -> np.ndarray:
@@ -128,9 +149,9 @@ class PcaModel:
 
     ``basis`` is (raw_dim, out_dim) with orthonormal columns sorted by
     decreasing explained variance; ``eigenvalues`` holds the matching sample
-    variances.  A model is ``degenerate`` (a rank-deficient fit) when a
-    trailing component is an arbitrary orthonormal completion with zero
-    variance.
+    variances (non-negative, non-increasing).  All values are finite.  A
+    model is ``degenerate`` (a rank-deficient fit) when a trailing component
+    is an arbitrary orthonormal completion with zero variance.
     """
 
     mean: np.ndarray
@@ -144,6 +165,8 @@ class PcaModel:
         eig = np.asarray(self.eigenvalues, dtype=np.float64)
         if basis.ndim != 2 or mean.shape != (basis.shape[0],) or eig.shape != (basis.shape[1],):
             raise ValueError("inconsistent PCA model shapes")
+        if not all(np.isfinite(a).all() for a in (mean, basis, eig)):
+            raise ValueError("PCA model mean, basis and eigenvalues must be finite")
         if (eig < 0).any() or (np.diff(eig) > 1e-12).any():
             raise ValueError("eigenvalues must be non-negative and non-increasing")
         object.__setattr__(self, "mean", mean)
@@ -240,13 +263,18 @@ def reduce_features(model: PcaModel, fs: LocalFeatureSet) -> LocalFeatureSet:
 
 
 def save_pca_model(path, model: PcaModel) -> None:
-    """Write a model as little-endian binary: FPCA header, mean, basis, eigenvalues."""
+    """Write a model as little-endian binary: FPCA header, mean, basis, eigenvalues.
+
+    :class:`PcaModel` checks the float32 arrays to be written, so a model they
+    cannot hold (inf from an overflow) raises ``ValueError`` and writes nothing."""
+    with np.errstate(over="ignore"):
+        stored = [np.asarray(a, "<f4") for a in (model.mean, model.basis, model.eigenvalues)]
+    PcaModel(*stored)
     with open(path, "wb") as f:
         f.write(PCA_MAGIC)
         f.write(struct.pack("<III", PCA_VERSION, model.raw_dim, model.out_dim))
-        f.write(model.mean.astype("<f4").tobytes())
-        f.write(model.basis.astype("<f4").tobytes())  # row-major (raw_dim, out_dim)
-        f.write(model.eigenvalues.astype("<f4").tobytes())
+        for a in stored:  # the basis row-major (raw_dim, out_dim)
+            f.write(a.tobytes())
         f.write(struct.pack("<B", 1 if model.whiten else 0))
 
 
@@ -266,14 +294,12 @@ def load_pca_model(path) -> PcaModel:
         version, raw_dim, out_dim = struct.unpack("<III", _read_exact(f, 12, "header"))
         if version != PCA_VERSION:
             raise ValueError(f"unsupported PCA model version {version}")
-        mean = np.frombuffer(_read_exact(f, 4 * raw_dim, "mean"), dtype="<f4").astype(np.float64)
+        mean = np.frombuffer(_read_exact(f, 4 * raw_dim, "mean"), dtype="<f4")
         basis = np.frombuffer(
             _read_exact(f, 4 * raw_dim * out_dim, "basis"), dtype="<f4"
-        ).astype(np.float64).reshape(raw_dim, out_dim)
-        eig = np.frombuffer(_read_exact(f, 4 * out_dim, "eigenvalues"), dtype="<f4").astype(
-            np.float64
-        )
+        ).reshape(raw_dim, out_dim)
+        eig = np.frombuffer(_read_exact(f, 4 * out_dim, "eigenvalues"), dtype="<f4")
         (whiten,) = struct.unpack("<B", _read_exact(f, 1, "whiten flag"))
         if f.read(1):
             raise ValueError("trailing bytes after PCA model payload")
-    return PcaModel(mean, basis, np.maximum(eig, 0.0), whiten=bool(whiten))
+    return PcaModel(mean, basis, eig, whiten=bool(whiten))

@@ -97,10 +97,11 @@ def read_ground_truth(path) -> GroundTruth:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'query_frame,matched_frame'")
-            q, m = int(parts[0]), int(parts[1])
+            try:  # a field count other than two, or a field that is not an integer
+                q, m = map(int, line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'query_frame,matched_frame' "
+                                 f"integers, got {line!r}") from None
             pairs.setdefault(q, set()).add(m)
     return GroundTruth({q: frozenset(ms) for q, ms in pairs.items()})
 

@@ -180,7 +180,7 @@ class LoopClosurePipeline:
             raise ValueError(
                 f"descriptor dimension {vec.shape[0]} does not match index dim {self.index.dim}"
             )
-        # a zero descriptor raises here, before any state changes
+        # cannot raise: a GlobalDescriptor is finite and not all zero
         unit = l2_normalize(vec).astype(np.float32)
         stages = dict.fromkeys(STAGES, 0.0)
 

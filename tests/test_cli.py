@@ -3,7 +3,7 @@ import pytest
 
 from loopdet.cli import RunConfig, main
 
-from conftest import empty_set
+from conftest import empty_set, unit_rows
 
 
 def run(argv):
@@ -165,6 +165,36 @@ class TestDetect:
         assert len(errors) == 1
         assert "corruption" in errors[0] and "frame 25" in errors[0]
 
+    def test_descriptors_past_the_norm_bound_exit_2_without_output(self, tmp_path, capsys):
+        # a 5x4 descriptor set scaled by 1e20 overflows float32 matching, so
+        # the reader rejects it; scaled by 1e18 it still matches all 5 rows
+        from loopdet import GlobalDescriptor, LocalFeatureSet, brute_force_match, write_features
+
+        rng = np.random.default_rng(4)
+        frames = [
+            (i, GlobalDescriptor(i, rng.standard_normal(8).astype(np.float32)),
+             LocalFeatureSet(i, rng.uniform(0, 100, (5, 2)), np.full(5, 50.0),
+                             unit_rows(rng, 5, 4)))
+            for i in range(30)
+        ]
+        big = frames[25][2]
+        big = LocalFeatureSet(25, big.coords, big.scores, big.descriptors * np.float32(1e18))
+        assert len(brute_force_match(big, big, 0.7)) == 5
+        feats = tmp_path / "big.fftc"
+        write_features(feats, frames, phi=10.0)
+        raw = bytearray(feats.read_bytes())
+        start = 32 + 25 * (8 + 8 * 4 + 4 + 5 * 7 * 4) + 8 + 8 * 4 + 4  # frame 25's block
+        block = np.frombuffer(raw[start : start + 5 * 7 * 4], "<f4").reshape(5, 7).copy()
+        block[:, 3:] *= np.float32(1e20)
+        raw[start : start + 5 * 7 * 4] = block.tobytes()
+        feats.write_bytes(bytes(raw))
+        out = tmp_path / "det.csv"
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--out", out] + DETECT_FLAGS) == 2
+        assert not out.exists()
+        error = one_error(capsys)
+        assert "corruption" in error and "frame 25" in error and "descriptors" in error
+
     def test_byte_identical_reruns(self, synth_paths, tmp_path):
         feats, _ = synth_paths
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -291,6 +321,8 @@ class TestSynth:
         ["--dim-global", 0],
         ["--dim-local", 0],
         ["--features-per-frame", -3],
+        ["--psi", 1, "--phi", 1e39],  # inf as the container's float32
+        ["--psi", 1e51, "--phi", 1e-50],  # 0 as float32
     ])
     def test_invalid_stream_exits_1_without_output(self, argv, tmp_path, capsys):
         out = tmp_path / "x.fftc"
@@ -444,6 +476,29 @@ class TestPcaFit:
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
         assert len(errors) == 1 and "64" in errors[0] and "40" in errors[0]
 
+    @pytest.mark.parametrize("damage", ["nan", "truncated"])
+    def test_damaged_model_exits_1_before_any_work(self, damage, synth_paths, tmp_path, capsys,
+                                                   monkeypatch):
+        from loopdet import PcaModel, cli, save_pca_model
+
+        def never(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        feats, _ = synth_paths
+        model_path = tmp_path / "model.fpca"
+        save_pca_model(model_path, PcaModel(np.zeros(40), np.eye(40), np.ones(40)))
+        raw = model_path.read_bytes()
+        if damage == "nan":  # the first basis entry
+            raw = raw[: 16 + 4 * 40] + np.float32(np.nan).tobytes() + raw[16 + 4 * 41 :]
+        model_path.write_bytes(raw if damage == "nan" else raw[:-5])
+        out = tmp_path / "det.csv"
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--pca", model_path, "--out", out]
+                   + DETECT_FLAGS) == 1
+        assert not out.exists()
+        assert ("must be finite" if damage == "nan" else "truncated") in one_error(capsys)
+
 
 class TestFlagSurface:
     """Each subcommand takes the knobs it reads; a malformed list flag is a
@@ -551,6 +606,25 @@ class TestEvalGroundTruth:
                    + DETECT_FLAGS) == 1
         assert not out.exists()
         assert "expected 'query_frame,matched_frame'" in capsys.readouterr().err
+
+    def test_non_integer_gt_field_names_its_line(self, synth_paths, tmp_path, capsys,
+                                                 monkeypatch):
+        from loopdet import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "collect_frame_records", never)
+        feats, _ = synth_paths
+        gt = tmp_path / "gt.csv"
+        gt.write_text("# query_frame,matched_frame\n5,1\n6,x\n")
+        out = tmp_path / "pr.csv"
+        capsys.readouterr()
+        assert run(["eval", "--features", feats, "--gt", gt, "--out", out]
+                   + DETECT_FLAGS) == 1
+        assert not out.exists()
+        assert one_error(capsys) == (f"error: {gt}:3: expected 'query_frame,matched_frame' "
+                                     "integers, got '6,x'")
 
     def test_gt_naming_an_unknown_frame_exits_1(self, synth_paths, tmp_path, capsys):
         feats, _ = synth_paths

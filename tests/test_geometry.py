@@ -706,3 +706,24 @@ class TestRansac:
         matches = Matches(np.arange(m), np.arange(m), np.zeros(m))
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(seed))
         assert result is None or result.inlier_count >= 12
+
+    @pytest.mark.parametrize("m, spread", [
+        (20, (8, 9.0, 10)),
+        (100, (9, 10.0, 14)),
+        (300, (13, 14.0, 16)),
+        (600, (17, 20.0, 24)),
+    ])
+    def test_chance_count_on_pure_outliers(self, m, spread):
+        # the best inlier count that the 3 px threshold and the budget of 500
+        # reach by chance when no fundamental matrix relates the matches:
+        # min, median and max over seeds 0-19.  A tau below it accepts noise.
+        from loopdet.evaluation import IMAGE_SIZE
+
+        counts = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, b = (LocalFeatureSet(k, rng.uniform(0, IMAGE_SIZE, (m, 2)), np.ones(m),
+                                    np.zeros((m, 4))) for k in (0, 1))
+            matches = Matches(np.arange(m), np.arange(m), np.zeros(m))
+            counts.append(ransac_fundamental(matches, a, b, 0, rng).inlier_count)
+        assert (min(counts), float(np.median(counts)), max(counts)) == spread

@@ -139,12 +139,13 @@ class TestProcessFrame:
         assert len(pipe.fifo) == cfg.n_non
         fifo, indexed = list(pipe.fifo), len(pipe.index)
         records, last = list(pipe.records), pipe._last_frame_id
-        # and descriptors with a NaN or an infinite entry
+        # and descriptors with a NaN or an infinite entry: the type rejects
+        # them, so no such frame reaches the pipeline
         for bad in (0.0, np.nan, np.inf):
             g = np.zeros(16)
             g[3] = bad
             with pytest.raises(DegenerateDescriptorError):
-                pipe.process_frame(25, GlobalDescriptor(25, g), empty_set(25, 4))
+                GlobalDescriptor(25, g)
             assert list(pipe.fifo) == fifo
             assert len(pipe.index) == indexed
             assert pipe.records == records
