@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -286,7 +287,9 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 
 def load_pca_model(path) -> PcaModel:
-    """Read a model written by :func:`save_pca_model`; validates magic and version."""
+    """Read a model written by :func:`save_pca_model`; validates magic and
+    version, and checks the payload size that the header's dimensions imply
+    against the file's size before reading it."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != PCA_MAGIC:
@@ -294,6 +297,14 @@ def load_pca_model(path) -> PcaModel:
         version, raw_dim, out_dim = struct.unpack("<III", _read_exact(f, 12, "header"))
         if version != PCA_VERSION:
             raise ValueError(f"unsupported PCA model version {version}")
+        # the payload the header implies, checked before any read allocates it
+        payload = 4 * (raw_dim + raw_dim * out_dim + out_dim) + 1
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        if payload > remaining:
+            raise ValueError(
+                f"truncated PCA model file: dimensions {raw_dim} x {out_dim} need "
+                f"{payload} payload bytes, {remaining} remain"
+            )
         mean = np.frombuffer(_read_exact(f, 4 * raw_dim, "mean"), dtype="<f4")
         basis = np.frombuffer(
             _read_exact(f, 4 * raw_dim * out_dim, "basis"), dtype="<f4"

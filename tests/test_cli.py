@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -498,6 +500,37 @@ class TestPcaFit:
                    + DETECT_FLAGS) == 1
         assert not out.exists()
         assert ("must be finite" if damage == "nan" else "truncated") in one_error(capsys)
+
+    def test_oversized_header_exits_1_without_reading_the_payload(
+            self, synth_paths, tmp_path, capsys, monkeypatch):
+        # raw_dim = out_dim = 2**31 claim a 16 EiB payload; no read may ask
+        # for more bytes than the file holds
+        from loopdet import PcaModel, cli, descriptors, save_pca_model
+
+        def never(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        read_exact = descriptors._read_exact
+
+        def bounded(f, n, what):
+            assert n <= size, f"read of {n} bytes from a {size}-byte model"
+            return read_exact(f, n, what)
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        monkeypatch.setattr(descriptors, "_read_exact", bounded)
+        feats, _ = synth_paths
+        model_path = tmp_path / "model.fpca"
+        save_pca_model(model_path, PcaModel(np.zeros(40), np.eye(40), np.ones(40)))
+        raw = model_path.read_bytes()
+        size = len(raw)
+        model_path.write_bytes(raw[:8] + struct.pack("<II", 2**31, 2**31) + raw[16:])
+        out = tmp_path / "det.csv"
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--pca", model_path, "--out", out]
+                   + DETECT_FLAGS) == 1
+        assert not out.exists()
+        line = one_error(capsys)
+        assert "truncated" in line and str(2**31) in line
 
 
 class TestFlagSurface:

@@ -549,6 +549,52 @@ class TestEpipolarError:
         assert errs.tolist() == [np.inf]
 
 
+class TestInlierMasks:
+    """RANSAC's inlier test, ``e^2 < PX_THRESH^2 |grad|^2`` from two GEMMs
+    over per-match quadratic features, against the reference Sampson error."""
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_block_masks_equal_sampson_distance(self, monkeypatch, duplicate):
+        # inlier fraction 0.3 keeps the budget at 500: blocks of one (the
+        # first hypothesis and the refit) and full blocks, all recorded
+        blocks = []
+        masks_of = geometry._inlier_masks
+
+        def recorded(F, Z, Q):
+            masks = masks_of(F, Z, Q)
+            blocks.append((F.copy(), masks))
+            return masks
+
+        monkeypatch.setattr(geometry, "_inlier_masks", recorded)
+        a, b, matches = match_set(300, 0.3, 3, duplicate)
+        ransac_fundamental(matches, a, b, 12, np.random.default_rng(3))
+        sizes = [len(F) for F, _ in blocks]
+        assert 1 in sizes and geometry._MAX_BLOCK in sizes
+        pa, pb = a.coords[matches.idx_a], b.coords[matches.idx_b]
+        for F, masks in blocks:
+            for f, mask in zip(F, masks):
+                assert np.array_equal(mask, sampson_distance(f, pa, pb) < geometry.PX_THRESH)
+
+    def test_vanishing_gradient_is_an_outlier(self):
+        # under `zero_at`, the match (2, 3) -> (5, 7) has F x_a = F^T x_b =
+        # (0, 0, -30) exactly; under `nowhere`, every match's gradient is zero
+        zero_at = np.array([[1.0, 0.0, -2.0], [0.0, 1.0, -3.0], [-5.0, -7.0, 1.0]])
+        nowhere = np.diag([0.0, 0.0, 1.0])
+        a, b, matches = match_set(60, 0.7, 2, False)
+        pa = np.vstack([a.coords[matches.idx_a], [[2.0, 3.0]]])
+        pb = np.vstack([b.coords[matches.idx_b], [[5.0, 7.0]]])
+        samples = geometry._draw_samples(np.random.default_rng(0), 60, geometry._MAX_BLOCK - 2)
+        F, _ = geometry._eight_point_stack(pa[samples], pb[samples])
+        F = np.concatenate([F, [zero_at, nowhere]])
+        Z, Q = geometry._pair_features(geometry._homogeneous(pa), geometry._homogeneous(pb))
+        masks = geometry._inlier_masks(F, Z, Q)
+        assert sampson_distance(zero_at, pa, pb)[-1] == np.inf
+        assert (sampson_distance(nowhere, pa, pb) == np.inf).all()
+        assert not masks[-2, -1] and not masks[-1].any()
+        for f, mask in zip(F, masks):
+            assert np.array_equal(mask, sampson_distance(f, pa, pb) < geometry.PX_THRESH)
+
+
 class TestEightPoint:
     def test_recovers_planted_matrix_from_minimal_sample(self):
         for seed in range(20):
