@@ -4,9 +4,10 @@ Brute-force descriptor matching with Lowe's distance-ratio check, the
 normalized eight-point fundamental-matrix solver, Sampson epipolar error,
 and a RANSAC consensus loop with adaptive early exit.  RANSAC solves its
 hypotheses in blocks and scores a block's Sampson inlier test with two
-GEMMs over per-match quadratic features.  All operations are pure given an
-explicit random generator, so candidate pairs may be verified in parallel
-with one generator stream each.
+GEMMs over per-match quadratic features, on hypotheses as solved; only
+:class:`FundamentalMatrix` applies the canonical form.  All operations are
+pure given an explicit random generator, so candidate pairs may be verified
+in parallel with one generator stream each.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ class Matches:
 
 @dataclass(frozen=True, eq=False)
 class FundamentalMatrix:
-    """Rank-2, Frobenius-normalized 3x3 epipolar constraint matrix."""
+    """A 3x3 epipolar constraint matrix in canonical form, equal up to rounding
+    for every non-zero multiple: ``F / np.linalg.norm(F)`` with its
+    largest-magnitude entry positive.  Rejects a shape other than 3x3,
+    non-finite entries and the zero matrix."""
 
     m: np.ndarray
 
@@ -63,6 +67,15 @@ class FundamentalMatrix:
         m = np.asarray(self.m, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError(f"fundamental matrix must be 3x3, got {m.shape}")
+        peak = float(np.abs(m).max())
+        if not 0.0 < peak < math.inf:  # also for NaN
+            raise ValueError("fundamental matrix must be finite and not all zero")
+        if not 1e-150 < peak < 1e150:  # keep the squares in range
+            m = m / peak
+        f = m.reshape(9)  # sqrt(f . f) is the norm np.linalg.norm takes
+        m = m / math.sqrt(f.dot(f))
+        if m.flat[np.abs(m).argmax()] < 0:
+            m = -m
         object.__setattr__(self, "m", m)
 
 
@@ -155,16 +168,18 @@ def sampson_distance(F, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarra
     return np.divide(e, den, out=np.full(den.shape, np.inf), where=den > 0.0)
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u[:, i] (x) v[:, i]`` for two ``(3, ...)`` point stacks, as ``(9, ...)``."""
+    return (u[:, None] * v[None]).reshape(9, *u.shape[1:])
+
+
 def _pair_features(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-match quadratic features of the inlier test, for ``(m, 3)``
     homogeneous point pairs: ``Z`` (9, m), column ``i`` holding
     ``x_b[i] (x) x_a[i]``, and ``Q`` (18, m), column ``i`` holding
     ``x_a[i] (x) x_a[i]`` over ``x_b[i] (x) x_b[i]``."""
-    m = len(xa)
     ta, tb = xa.T, xb.T
-    Z = (tb[:, None] * ta[None]).reshape(9, m)
-    Q = np.concatenate([ta[:, None] * ta[None], tb[:, None] * tb[None]]).reshape(18, m)
-    return Z, Q
+    return _outer(tb, ta), np.concatenate([_outer(ta, ta), _outer(tb, tb)])
 
 
 def _inlier_masks(F: np.ndarray, Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -194,23 +209,25 @@ def _inlier_masks(F: np.ndarray, Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return e < bound
 
 
-def _hartley_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hartley_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic normalization of each set of a ``(K, n, 2)`` stack: centroid
     to origin, mean distance to sqrt(2).
 
-    Returns the ``(K, 3, 3)`` transforms, the normalized points, and the mask
-    of sets whose points all coincide (scaled by 1 to stay finite).
+    Returns the ``(K, 3, 3)`` transforms and the normalized homogeneous
+    points as a ``(3, K, n)`` stack.  A set whose points coincide is scaled
+    by 1, so its fit is finite and fails the rank test of :func:`_null_vectors`.
     """
     centroid = pts.mean(axis=1)
     centered = pts - centroid[:, None, :]
     mean_dist = np.linalg.norm(centered, axis=2).mean(axis=1)
-    coincident = mean_dist == 0.0
-    s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
+    s = math.sqrt(2.0) / np.where(mean_dist == 0.0, 1.0, mean_dist)
     T = np.zeros((pts.shape[0], 3, 3))
     T[:, 0, 0] = T[:, 1, 1] = s
     T[:, :2, 2] = -s[:, None] * centroid
     T[:, 2, 2] = 1.0
-    return T, centered * s[:, None, None], coincident
+    h = np.ones((3,) + pts.shape[:2])
+    h[:2] = (centered * s[:, None, None]).transpose(2, 0, 1)
+    return T, h
 
 
 def _null_vectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,35 +253,19 @@ def _null_vectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _eight_point_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eight-point fits of a ``(K, n, 2)`` stack of point-set pairs, n >= 8.
 
-    Returns the ``(K, 3, 3)`` matrices and the ``(K,)`` mask of valid fits:
-    False where either set's points coincide or the design matrix has
-    rank < 8 (by the tests of :func:`_null_vectors`), and the matrix is
-    then meaningless.  Each step works per matrix, so a fit does not depend
-    on the rest of the stack.
+    Returns the ``(K, 3, 3)`` rank-2 matrices, denormalized and unscaled, and
+    the ``(K,)`` mask of valid fits: False (the matrix then meaningless) where
+    the design matrix has rank < 8 by the tests of :func:`_null_vectors`.  Each
+    step works per matrix, so a fit does not depend on the rest of the stack.
     """
-    K, n = pa.shape[:2]
-    T, normed, coincident = _hartley_stack(np.concatenate([pa, pb]))
-    Ta, Tb, na, nb = T[:K], T[K:], normed[:K], normed[K:]
-
-    x1, y1 = na[..., 0], na[..., 1]
-    x2, y2 = nb[..., 0], nb[..., 1]
-    A = np.stack(
-        [x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, np.ones((K, n))], axis=-1
-    )
-    null, rank_deficient = _null_vectors(A)
-    F = null.reshape(K, 3, 3)
-
-    U, s, Vt2 = np.linalg.svd(F)
+    K = len(pa)
+    T, h = _hartley_stack(np.concatenate([pa, pb]))
+    # row i of a design matrix is x_b[i] (x) x_a[i] on the normalized points
+    null, rank_deficient = _null_vectors(np.moveaxis(_outer(h[:, K:], h[:, :K]), 0, -1))
+    U, s, Vt = np.linalg.svd(null.reshape(K, 3, 3))
     s[:, 2] = 0.0
-    F = (U * s[:, None, :]) @ Vt2
-    F = Tb.transpose(0, 2, 1) @ F @ Ta
-    # one norm per matrix, the dot product np.linalg.norm takes; a norm over
-    # axes (1, 2) sums in another order and rounds differently
-    flat = F.reshape(K, 9)
-    F /= np.array([math.sqrt(f.dot(f)) for f in flat])[:, None, None]
-    flip = flat[np.arange(K), np.abs(flat).argmax(axis=1)] < 0
-    F[flip] = -F[flip]
-    return F, ~(coincident[:K] | coincident[K:] | rank_deficient)
+    F = T[K:].transpose(0, 2, 1) @ ((U * s[:, None, :]) @ Vt) @ T[:K]
+    return F, ~rank_deficient
 
 
 def eight_point(points_a, points_b) -> FundamentalMatrix:
@@ -273,16 +274,13 @@ def eight_point(points_a, points_b) -> FundamentalMatrix:
     Hartley-normalizes both point sets and solves the epipolar system: on
     exactly 8 correspondences for the null vector of the design matrix, by
     complete QR; on more, in the least-squares sense, by SVD.  Then enforces
-    rank 2 by truncating the smallest singular value, denormalizes, and
-    scales to unit Frobenius norm with a canonical sign (largest-magnitude
-    entry positive).
+    rank 2 by truncating the smallest singular value and denormalizes; the
+    returned :class:`FundamentalMatrix` is in its canonical form.
 
-    Raises ``ValueError`` for fewer than 8 correspondences and
-    :class:`DegenerateGeometryError` when either point set coincides or the
-    design matrix has rank < 8: on 8 points when the smallest ``|diag R|``
-    of the QR is at most 1e-10 of the largest (or all are zero), on more
-    when the eighth singular value is at most 1e-10 of the first (or the
-    first is zero).
+    Raises ``ValueError`` for fewer than 8 correspondences or a non-finite
+    coordinate, and :class:`DegenerateGeometryError` when the design matrix
+    has rank < 8 (as when either point set coincides) by the tests of
+    :func:`_null_vectors`.
     """
     pa = np.asarray(points_a, dtype=np.float64).reshape(-1, 2)
     pb = np.asarray(points_b, dtype=np.float64).reshape(-1, 2)
@@ -291,11 +289,11 @@ def eight_point(points_a, points_b) -> FundamentalMatrix:
     n = pa.shape[0]
     if n < 8:
         raise ValueError(f"need at least 8 correspondences, got {n}")
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise ValueError("point coordinates must be finite")
     F, valid = _eight_point_stack(pa[None], pb[None])
     if not valid[0]:
-        raise DegenerateGeometryError(
-            "degenerate point configuration (coincident points or rank < 8)"
-        )
+        raise DegenerateGeometryError("degenerate point configuration (rank < 8)")
     return FundamentalMatrix(F[0])
 
 
@@ -356,8 +354,8 @@ def ransac_fundamental(
     equal ``sampson_distance(F, pa, pb) < PX_THRESH``), adapts the
     iteration budget (at most ``max_iters``) with the standard (1 - w^8)
     formula at ``CONFIDENCE``, and refits on the final consensus set (kept
-    only if it does not lose inliers).  A degenerate sample still counts as an iteration, and only a
-    strictly greater inlier count replaces the best.
+    only if it does not lose inliers).  A degenerate sample still counts as
+    an iteration, and only a strictly greater inlier count replaces the best.
 
     Hypothesis ``i`` is the sorted 8-subset that Floyd's algorithm maps
     the ``i``-th eight uniforms of ``rng`` to (:func:`_draw_samples`), and
@@ -367,11 +365,12 @@ def ransac_fundamental(
     then up to ``_MAX_BLOCK`` at a time but never past the current budget,
     and walked in draw order under those rules, so the result does not
     depend on the block sizes: it equals drawing and solving them one at a
-    time.  The per-match features of the inlier test are built once per
-    call, and the refit is scored by the same test.  A call whose
-    first hypothesis meets the budget solves just that one.  A block may
-    draw samples that a budget lowered inside it leaves unused, so ``rng``
-    can end up further advanced.
+    time.  The inlier test's per-match features are built once per call; the
+    test is homogeneous in F, so hypotheses are scored unscaled and only the
+    winner is put in canonical form (a winning refit is returned as
+    :func:`eight_point` made it).  A call whose first hypothesis meets the
+    budget solves just that one.  A block may draw samples that a budget
+    lowered inside it leaves unused, so ``rng`` can end up further advanced.
 
     Returns ``None`` - failure, not a fault - when fewer than 8 matches are
     available or no model reaches ``tau`` inliers.
@@ -405,19 +404,19 @@ def ransac_fundamental(
     if best_F is None:
         return None
 
+    model = None  # the refit, once it wins
     if best_count >= 8:
         try:
-            F2 = eight_point(pa[best_mask], pb[best_mask]).m
+            refit = eight_point(pa[best_mask], pb[best_mask])
         except DegenerateGeometryError:
             pass
         else:
-            mask2 = _inlier_masks(F2[None], Z, Q)[0]
-            count2 = int(mask2.sum())
-            if count2 >= best_count:
-                best_F, best_mask, best_count = F2, mask2, count2
+            mask2 = _inlier_masks(refit.m[None], Z, Q)[0]
+            if mask2.sum() >= best_count:
+                model, best_mask, best_count = refit, mask2, int(mask2.sum())
 
     if best_count < tau:
         return None
-    return VerificationResult(
-        FundamentalMatrix(best_F), tuple(np.nonzero(best_mask)[0].tolist())
-    )
+    if model is None:
+        model = FundamentalMatrix(best_F)
+    return VerificationResult(model, tuple(np.nonzero(best_mask)[0].tolist()))

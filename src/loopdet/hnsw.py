@@ -201,7 +201,8 @@ class HnswIndex:
         return l2_normalize(vec)
 
     def insert(self, frame_id: int, values) -> None:
-        """Insert one descriptor; the node becomes searchable immediately.
+        """Insert one descriptor, of any scale: the index unit-normalizes it
+        and stores it as float32.  The node becomes searchable immediately.
 
         Raises on duplicate frame ids, dimension mismatch, or zero vectors.
         """

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .descriptors import GlobalDescriptor, LocalFeatureSet, filter_by_score, l2_normalize
+from .descriptors import GlobalDescriptor, LocalFeatureSet, filter_by_score
 from .geometry import brute_force_match, ransac_fundamental
 from .hnsw import HnswIndex, HnswParams, Neighbor
 
@@ -175,13 +175,12 @@ class LoopClosurePipeline:
                 raise ValueError(
                     f"frame {frame_id}: {type(part).__name__} names frame {part.frame_id}"
                 )
-        vec = np.asarray(g.values, dtype=np.float64)
+        # a copy the caller cannot reuse; the index normalizes it on insert
+        vec = np.array(g.values, dtype=np.float64)
         if vec.shape[0] != self.index.dim:
             raise ValueError(
                 f"descriptor dimension {vec.shape[0]} does not match index dim {self.index.dim}"
             )
-        # cannot raise: a GlobalDescriptor is finite and not all zero
-        unit = l2_normalize(vec).astype(np.float32)
         stages = dict.fromkeys(STAGES, 0.0)
 
         t0 = time.perf_counter()
@@ -214,7 +213,7 @@ class LoopClosurePipeline:
                 f"exclusion-zone invariant violated: {frame_id} matched {record.matched_frame}"
             )
 
-        self.fifo.append((frame_id, unit))
+        self.fifo.append((frame_id, vec))
         self.locals_store[frame_id] = kept
         if self._local_dim is None and len(kept):
             self._local_dim = kept.dim

@@ -325,6 +325,12 @@ class TestSynth:
         ["--features-per-frame", -3],
         ["--psi", 1, "--phi", 1e39],  # inf as the container's float32
         ["--psi", 1e51, "--phi", 1e-50],  # 0 as float32
+        ["--sigma-px", -1],
+        ["--sigma-px", "nan"],  # would write a stream with no pixel noise
+        ["--sigma-desc", -0.5],
+        ["--sigma-global", -0.3],
+        ["--sigma-desc", "inf"],
+        ["--sigma-global", "nan"],
     ])
     def test_invalid_stream_exits_1_without_output(self, argv, tmp_path, capsys):
         out = tmp_path / "x.fftc"
@@ -332,7 +338,10 @@ class TestSynth:
         assert run(["synth", "--frames", 50, "--out", out, "--gt", tmp_path / "gt.csv"]
                    + argv) == 1
         err = capsys.readouterr().err
-        assert len([ln for ln in err.splitlines() if ln.startswith("error")]) == 1
+        errors = [ln for ln in err.splitlines() if ln.startswith("error")]
+        assert len(errors) == 1
+        # the line names the offending knob, the last flag given
+        assert argv[-2][2:].replace("-", "_") in errors[0]
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -553,10 +554,11 @@ class TestInlierMasks:
     """RANSAC's inlier test, ``e^2 < PX_THRESH^2 |grad|^2`` from two GEMMs
     over per-match quadratic features, against the reference Sampson error."""
 
-    @pytest.mark.parametrize("duplicate", [False, True])
-    def test_block_masks_equal_sampson_distance(self, monkeypatch, duplicate):
-        # inlier fraction 0.3 keeps the budget at 500: blocks of one (the
-        # first hypothesis and the refit) and full blocks, all recorded
+    @staticmethod
+    def recorded_blocks(monkeypatch, duplicate):
+        """Every matrix stack that one RANSAC call scores, with its masks,
+        and the call's points.  Inlier fraction 0.3 keeps the budget at 500:
+        blocks of one (the first hypothesis and the refit) and full blocks."""
         blocks = []
         masks_of = geometry._inlier_masks
 
@@ -568,11 +570,30 @@ class TestInlierMasks:
         monkeypatch.setattr(geometry, "_inlier_masks", recorded)
         a, b, matches = match_set(300, 0.3, 3, duplicate)
         ransac_fundamental(matches, a, b, 12, np.random.default_rng(3))
+        monkeypatch.undo()
         sizes = [len(F) for F, _ in blocks]
         assert 1 in sizes and geometry._MAX_BLOCK in sizes
-        pa, pb = a.coords[matches.idx_a], b.coords[matches.idx_b]
+        return blocks, a.coords[matches.idx_a], b.coords[matches.idx_b]
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_block_masks_equal_sampson_distance(self, monkeypatch, duplicate):
+        blocks, pa, pb = self.recorded_blocks(monkeypatch, duplicate)
         for F, masks in blocks:
             for f, mask in zip(F, masks):
+                assert np.array_equal(mask, sampson_distance(f, pa, pb) < geometry.PX_THRESH)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_scaled_hypotheses_score_the_same(self, monkeypatch, scale):
+        # RANSAC scores the solver's matrices at whatever scale they come
+        # out; the test is homogeneous in F, so a rescaled block scores the
+        # same, and still equals the reference Sampson error
+        blocks, pa, pb = self.recorded_blocks(monkeypatch, False)
+        xa, xb = geometry._homogeneous(pa), geometry._homogeneous(pb)
+        Z, Q = geometry._pair_features(xa, xb)
+        for F, masks in blocks:
+            scaled = geometry._inlier_masks(scale * F, Z, Q)
+            assert np.array_equal(scaled, masks)
+            for f, mask in zip(scale * F, scaled):
                 assert np.array_equal(mask, sampson_distance(f, pa, pb) < geometry.PX_THRESH)
 
     def test_vanishing_gradient_is_an_outlier(self):
@@ -666,6 +687,18 @@ class TestEightPoint:
             with pytest.raises(DegenerateGeometryError):
                 eight_point(pa[k], pb[k])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("view", [0, 1])
+    def test_non_finite_point_rejected_without_warning(self, rng, bad, view):
+        scene = EpipolarScene(rng)
+        points = list(scene.correspondences(12))
+        points[view][5, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite") as err:
+                eight_point(*points)
+        assert not isinstance(err.value, DegenerateGeometryError)
+
     def test_too_few_points_rejected(self, rng):
         scene = EpipolarScene(rng)
         pa, pb = scene.correspondences(7)
@@ -689,7 +722,53 @@ class TestEightPoint:
             assert err < 1e-6
 
 
+class TestFundamentalMatrix:
+    def test_canonical_form(self, rng):
+        raw = rng.standard_normal((3, 3))
+        canonical = FundamentalMatrix(raw).m
+        unit = raw / np.linalg.norm(raw)
+        assert canonical.tobytes() == (unit * np.sign(unit.flat[np.abs(unit).argmax()])).tobytes()
+        assert np.linalg.norm(canonical) == pytest.approx(1.0, abs=1e-15)
+        assert canonical.flat[np.abs(canonical).argmax()] > 0
+        # any non-zero multiple, including ones whose squares would overflow
+        # or underflow, has the same form
+        for c in (-1.0, 2.5, -1e-3, 1e200, -1e-200):
+            np.testing.assert_allclose(FundamentalMatrix(c * raw).m, canonical, atol=1e-15)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.eye(2), "3x3"),
+        (np.ones(9), "3x3"),
+        (np.zeros((3, 3)), "not all zero"),
+        (np.diag([1.0, np.nan, 1.0]), "finite"),
+        (np.diag([1.0, np.inf, 1.0]), "finite"),
+        (np.diag([1.0, 2.0, -np.inf]), "finite"),
+    ])
+    def test_invalid_input_rejected(self, bad, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                FundamentalMatrix(bad)
+
+
 class TestRansac:
+    def test_winning_refit_is_returned_as_solved(self, monkeypatch):
+        # a noiseless set: the refit on all 50 matches keeps every inlier,
+        # so it wins, and RANSAC returns eight_point's object unchanged
+        refits = []
+        solve = geometry.eight_point
+
+        def recorded(pa, pb):
+            refits.append(solve(pa, pb))
+            return refits[-1]
+
+        monkeypatch.setattr(geometry, "eight_point", recorded)
+        a, b, matches, _, _ = planted_matches(seed=0, n_matches=50, inlier_frac=1.0)
+        result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(1))
+        assert result.inlier_count == 50 and len(refits) == 1
+        assert result.matrix is refits[0]
+        pa, pb = a.coords[matches.idx_a], b.coords[matches.idx_b]
+        assert result.matrix.m.tobytes() == solve(pa, pb).m.tobytes()
+
     def test_noiseless_consensus_is_total(self):
         a, b, matches, mask, _ = planted_matches(seed=0, n_matches=50, inlier_frac=1.0)
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(1))

@@ -16,6 +16,7 @@ from loopdet import (
     SynthConfig,
     TemporalFilter,
     generate_synthetic,
+    l2_normalize,
     replay_detections,
     run_pipeline,
 )
@@ -230,6 +231,21 @@ class TestProcessFrame:
         cfg = tiny_config()
         detections, _ = run_pipeline(ds.frames, cfg, 32)
         assert all(d.query_frame - d.matched_frame >= cfg.n_non for d in detections)
+
+    def test_caller_buffer_reuse_does_not_reach_the_index(self, rng):
+        # GlobalDescriptor keeps the caller's array; frame 0 enters the
+        # index N_non = 100 frames later, after its buffer was overwritten
+        pipe = LoopClosurePipeline(tiny_config(psi=10.0), 16)
+        frames = drifting_frames(rng, 101)
+        buf = unit_rows(rng, 1, 16)[0]
+        expected = l2_normalize(buf).astype(np.float32)
+        g = GlobalDescriptor(0, buf)
+        pipe.process_frame(0, g, frames[0][2])
+        g.values[:] = unit_rows(rng, 1, 16)[0]
+        for fid, g_, lf in frames[1:]:
+            pipe.process_frame(fid, g_, lf)
+        assert len(pipe.index) == 1
+        assert pipe.index._vectors[0].tobytes() == expected.tobytes()
 
     def test_fifo_conservation(self, rng):
         cfg = tiny_config()
