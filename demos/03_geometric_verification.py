@@ -55,7 +55,7 @@ err = np.abs(result.matrix.m - scene.F).max()
 err = min(err, np.abs(result.matrix.m + scene.F).max())
 print(f"estimated F vs planted F: max entry difference {err:.2e}")
 
-errs = sampson_distance(result.matrix,
+errs = sampson_distance(result.matrix.m,
                         view_a.coords[matches.idx_a[inliers]],
                         view_b.coords[matches.idx_b[inliers]])
 print(f"epipolar residuals of accepted matches: median {np.median(errs):.2f} px, "

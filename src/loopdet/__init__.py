@@ -61,13 +61,11 @@ from .hnsw import (
     HnswParams,
     IndexAuditError,
     Neighbor,
-    assign_level,
 )
 from .pipeline import (
     FrameRecord,
     LoopClosurePipeline,
     PipelineConfig,
-    TemporalFilter,
     collect_frame_records,
     replay_detections,
     run_pipeline,
@@ -102,9 +100,7 @@ __all__ = [
     "RevisitSegment",
     "SynthConfig",
     "SyntheticDataset",
-    "TemporalFilter",
     "VerificationResult",
-    "assign_level",
     "brute_force_match",
     "collect_frame_records",
     "eight_point",

@@ -30,6 +30,9 @@ from .descriptors import GlobalDescriptor, LocalFeatureSet
 MAGIC = b"FFTC"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIIfff")
+# the image scales the writer puts in every header, metadata only
+S_G = 0.5
+S_L = 1.4
 
 
 class ContainerError(Exception):
@@ -189,8 +192,6 @@ def write_features(
     frames: Sequence[tuple[int, GlobalDescriptor, LocalFeatureSet]] | Iterable,
     *,
     phi: float,
-    s_g: float = 0.5,
-    s_l: float = 1.4,
     dim_global: int | None = None,
     dim_local: int | None = None,
 ) -> None:
@@ -199,7 +200,7 @@ def write_features(
     Frame types check their values as float32, so every frame that can be
     built is one the reader accepts; :class:`ContainerHeader` checks the
     header.  A rejected frame leaves no file at ``path`` (an existing one is
-    kept).  ``s_g`` / ``s_l`` are image scales, metadata only.  Dimensions
+    kept).  The header's image scales are ``S_G`` and ``S_L``.  Dimensions
     come from the first frame, and must be given for an empty frame list.
     """
     frames = list(frames)
@@ -208,7 +209,7 @@ def write_features(
         dim_local = frames[0][2].dim if dim_local is None else dim_local
     elif dim_global is None or dim_local is None:
         raise ValueError("dim_global and dim_local are required for an empty container")
-    h = ContainerHeader(len(frames), dim_global, dim_local, phi, s_g, s_l)
+    h = ContainerHeader(len(frames), dim_global, dim_local, phi, S_G, S_L)
 
     with atomic_output(path) as f:
         f.write(_HEADER.pack(MAGIC, h.version, *astuple(h)[:-1]))

@@ -267,11 +267,13 @@ def save_pca_model(path, model: PcaModel) -> None:
     """Write a model as little-endian binary: FPCA header, mean, basis, eigenvalues.
 
     :class:`PcaModel` checks the float32 arrays to be written, so a model they
-    cannot hold (inf from an overflow) raises ``ValueError`` and writes nothing."""
+    cannot hold (inf from an overflow) raises ``ValueError`` and writes nothing;
+    nor does a failed write, which keeps an existing file."""
+    from .container import atomic_output  # container imports this module
     with np.errstate(over="ignore"):
         stored = [np.asarray(a, "<f4") for a in (model.mean, model.basis, model.eigenvalues)]
     PcaModel(*stored)
-    with open(path, "wb") as f:
+    with atomic_output(path) as f:
         f.write(PCA_MAGIC)
         f.write(struct.pack("<III", PCA_VERSION, model.raw_dim, model.out_dim))
         for a in stored:  # the basis row-major (raw_dim, out_dim)

@@ -143,8 +143,9 @@ def _homogeneous(pts: np.ndarray) -> np.ndarray:
     return np.hstack([pts, np.ones((pts.shape[0], 1))])
 
 
-def sampson_distance(F, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Vectorized first-order epipolar error, in pixels, for (n, 2) point arrays.
+def sampson_distance(F: np.ndarray, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
+    """Vectorized first-order epipolar error, in pixels, of a 3x3 array ``F``
+    for (n, 2) point arrays (pass ``FundamentalMatrix.m`` for a model).
 
     The Sampson error ``|e| / |grad|`` of Hartley & Zisserman, *Multiple View
     Geometry*, section 11.4.3: ``e = x_b^T F x_a`` and ``|grad|^2`` the sum of
@@ -153,7 +154,7 @@ def sampson_distance(F, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarra
     the reference definition: RANSAC's inlier masks equal
     ``sampson_distance(F, pa, pb) < PX_THRESH`` (see :func:`_inlier_masks`).
     """
-    Fm = F.m if isinstance(F, FundamentalMatrix) else np.asarray(F, dtype=np.float64)
+    Fm = np.asarray(F, dtype=np.float64)
     xa = _homogeneous(np.atleast_2d(points_a))
     xb = _homogeneous(np.atleast_2d(points_b))
     la = xa @ Fm.T  # rows: F x1

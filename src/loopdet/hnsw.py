@@ -1,11 +1,11 @@
 """Incremental hierarchical navigable small-world graph over global descriptors.
 
-The index is append-only and lives in memory for one run: every frame
-descriptor is assigned a random top layer with exponentially decaying
-probability, linked greedily layer by layer, and stays searchable until the
-run ends.  Similarity between frames is the normalized scalar product
-(cosine); descriptors are unit-normalized once at insertion so the inner
-loops reduce to dot products, and the graph internally minimizes
+The index is append-only by ascending frame id and lives in memory for one
+run: every frame descriptor is assigned a random top layer with exponentially
+decaying probability, linked greedily layer by layer, and stays searchable
+until the run ends.  Similarity between frames is the normalized scalar
+product (cosine); descriptors are unit-normalized once at insertion so the
+inner loops reduce to dot products, and the graph internally minimizes
 ``1 - cosine`` which is order-equivalent.
 
 Queries descend from the sparse top layers with a greedy beam of one, then
@@ -140,7 +140,6 @@ class HnswIndex:
         self._rng = np.random.default_rng(self.params.rng_seed)
         self._vectors = np.zeros((256, dim), dtype=np.float32)
         self._ids: list[int] = []
-        self._id_to_idx: dict[int, int] = {}
         self._levels: list[int] = []
         # Links, one fixed-width row per node on each of its layers 0..level:
         # _adj[layer][r, :_deg[layer][r]] are row r's neighbor idxs.  Node idx
@@ -171,7 +170,6 @@ class HnswIndex:
             self._deg[0] = _doubled(self._deg[0])
         self._vectors[idx] = vec32
         self._ids.append(frame_id)
-        self._id_to_idx[frame_id] = idx
         self._levels.append(level)
         for layer in range(1, level + 1):
             if layer == len(self._adj):
@@ -201,15 +199,16 @@ class HnswIndex:
         return l2_normalize(vec)
 
     def insert(self, frame_id: int, values) -> None:
-        """Insert one descriptor, of any scale: the index unit-normalizes it
+        """Append one descriptor, of any scale: the index unit-normalizes it
         and stores it as float32.  The node becomes searchable immediately.
 
-        Raises on duplicate frame ids, dimension mismatch, or zero vectors.
+        Raises ``ValueError``, leaving the index and its level draws as they
+        were, on an id not above the last inserted one (ids ascend from 0), a
+        dimension mismatch or a zero vector.
         """
-        if frame_id in self._id_to_idx:
-            raise ValueError(f"frame {frame_id} already present")
-        if frame_id < 0:
-            raise ValueError("frame_id must be non-negative")
+        last = self._ids[-1] if self._ids else -1
+        if frame_id <= last:
+            raise ValueError(f"frame id {frame_id} is not above {last}: ids must ascend from 0")
         q = self._unit(values).astype(np.float32)
 
         level = assign_level(self._rng, self.params.level_lambda)

@@ -1,4 +1,7 @@
+import errno
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -436,6 +439,32 @@ class TestPcaFit:
         assert (model.raw_dim, model.out_dim) == (64, 40)
         gram = model.basis.T @ model.basis
         assert np.abs(gram - np.eye(40)).max() < 1e-5
+
+    def test_failed_write_keeps_the_existing_model(self, synth_paths, tmp_path, capsys,
+                                                   monkeypatch):
+        # a write that fails after the header bytes leaves the old model as it
+        # was and no temp file beside it
+        from loopdet import descriptors
+
+        feats, _ = synth_paths
+        model_path = tmp_path / "model.fpca"
+        assert run(["pca-fit", "--features", feats, "--out", model_path, "--out-dim", 8]) == 0
+        old = model_path.read_bytes()
+        formats = []
+
+        def pack(fmt, *values):
+            formats.append(fmt)
+            if fmt == "<B":  # the whiten flag, written after the header and the arrays
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return struct.pack(fmt, *values)
+
+        monkeypatch.setattr(descriptors, "struct", SimpleNamespace(pack=pack))
+        capsys.readouterr()
+        assert run(["pca-fit", "--features", feats, "--out", model_path, "--out-dim", 16]) == 2
+        assert formats == ["<III", "<B"]
+        assert os.strerror(errno.ENOSPC) in one_error(capsys)
+        assert list(tmp_path.iterdir()) == [model_path]
+        assert model_path.read_bytes() == old
 
     def test_detect_applies_model_to_raw_locals(self, tmp_path):
         feats = tmp_path / "raw.fftc"

@@ -58,7 +58,7 @@ class TestRoundTrip:
 
     def test_header_metadata(self, tmp_path, rng):
         path = tmp_path / "f.fftc"
-        write_features(path, make_frames(rng), phi=15.0, s_g=0.5, s_l=1.4)
+        write_features(path, make_frames(rng), phi=15.0)
         header = read_header(path)
         assert header.frame_count == 5
         assert (header.dim_global, header.dim_local) == (8, 4)

@@ -629,7 +629,7 @@ class TestEightPoint:
         scene = EpipolarScene(rng)
         pa, pb = scene.correspondences(20)
         F = eight_point(pa, pb)
-        assert sampson_distance(F, pa, pb).max() < 1e-9
+        assert sampson_distance(F.m, pa, pb).max() < 1e-9
         ha = np.hstack([pa, np.ones((20, 1))])
         hb = np.hstack([pb, np.ones((20, 1))])
         algebraic = np.abs(np.einsum("ij,jk,ik->i", hb, F.m, ha))
@@ -804,7 +804,7 @@ class TestRansac:
         result = ransac_fundamental(matches, a, b, 12, np.random.default_rng(3))
         pa = a.coords[matches.idx_a]
         pb = b.coords[matches.idx_b]
-        errs = sampson_distance(result.matrix, pa, pb)
+        errs = sampson_distance(result.matrix.m, pa, pb)
         assert (errs[list(result.inlier_indices)] < 3.0).all()
 
     def test_deterministic_given_seed(self):

@@ -13,12 +13,11 @@ from loopdet import (
     HnswParams,
     IndexAuditError,
     Neighbor,
-    assign_level,
     exact_knn,
     mean_recall,
 )
 from loopdet.descriptors import l2_normalize
-from loopdet.hnsw import _keep_diverse
+from loopdet.hnsw import _keep_diverse, assign_level
 from conftest import unit_rows
 
 SMALL = HnswParams(M=8, ef_construction=32, ef_search=32, rng_seed=7)
@@ -235,13 +234,33 @@ class TestInsert:
         index = build_index(vectors, params)
         for i in range(3):
             others = {index._ids[j] for j in range(3) if j != i}
-            linked = {index._ids[n] for n in index._neighbors(index._id_to_idx[i], 0).tolist()}
+            linked = {index._ids[n] for n in index._neighbors(index._ids.index(i), 0).tolist()}
             assert linked == others
 
     def test_duplicate_frame_rejected(self, rng):
-        index = build_index(unit_rows(rng, 4, 8))
-        with pytest.raises(ValueError, match="already present"):
-            index.insert(2, unit_rows(rng, 1, 8)[0])
+        # the index is append-only: a repeated or smaller id is rejected before
+        # the level draw, so the next accepted insert builds the graph that the
+        # same inserts without the rejected calls build
+        vectors = unit_rows(rng, 5, 8)
+        index, reference = build_index(vectors[:4]), build_index(vectors[:4])
+        state = (len(index), list(index._levels), index._entry, index._max_level,
+                 index._rng.bit_generator.state)
+        for frame_id in (3, 2, 0, -1):
+            with pytest.raises(ValueError, match="must ascend"):
+                index.insert(frame_id, vectors[4])
+            assert (len(index), index._levels, index._entry, index._max_level,
+                    index._rng.bit_generator.state) == state
+        with pytest.raises(ValueError, match="must ascend"):
+            HnswIndex(8, SMALL).insert(-1, vectors[0])
+        index.insert(4, vectors[4])
+        reference.insert(4, vectors[4])
+        assert index._ids == reference._ids == [0, 1, 2, 3, 4]
+        assert (index._levels, index._entry) == (reference._levels, reference._entry)
+        for layer in range(len(reference._adj)):
+            for idx in range(len(reference)):
+                if reference._levels[idx] >= layer:
+                    assert (index._neighbors(idx, layer).tolist()
+                            == reference._neighbors(idx, layer).tolist())
 
     def test_dimension_mismatch_rejected(self, rng):
         index = build_index(unit_rows(rng, 4, 8))

@@ -14,12 +14,12 @@ from loopdet import (
     PipelineConfig,
     RevisitSegment,
     SynthConfig,
-    TemporalFilter,
     generate_synthetic,
     l2_normalize,
     replay_detections,
     run_pipeline,
 )
+from loopdet.pipeline import TemporalFilter
 from conftest import empty_set, unit_rows
 
 FAST_HNSW = HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1)
