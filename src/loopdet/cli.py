@@ -400,7 +400,7 @@ def cmd_pca_fit(args: argparse.Namespace) -> int:
     for _, _, locals_ in read_features(cfg.features):
         if len(locals_) == 0:
             continue
-        collected.append(np.asarray(locals_.descriptors, dtype=np.float64))
+        collected.append(locals_.descriptors)
         total += len(locals_)
         if total >= args.max_samples:
             break

@@ -18,7 +18,6 @@ from __future__ import annotations
 import errno
 import os
 import struct
-import tempfile
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -90,9 +89,12 @@ class ContainerHeader:
                 object.__setattr__(self, name, float(np.float32(getattr(self, name))))
 
 
-def _read_exact(f: BinaryIO, n: int, frame_index: int | None = None) -> bytes:
+def _read_exact(f: BinaryIO, n: int, frame_index: int, file_size: int) -> bytes:
+    """``n`` bytes from the current offset; a read past ``file_size`` is
+    refused before a buffer of ``n`` bytes, which a header can make huge, is
+    allocated."""
     offset = f.tell()
-    data = f.read(n)
+    data = f.read(n) if n <= file_size - offset else b""
     if len(data) != n:
         raise CorruptionError("truncated payload", offset=offset, frame_index=frame_index)
     return data
@@ -130,18 +132,18 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
         record = 4 * (3 + header.dim_local)
         prev_id: int | None = None
         for k in range(header.frame_count):
-            (frame_id,) = struct.unpack("<Q", _read_exact(f, 8, k))
+            (frame_id,) = struct.unpack("<Q", _read_exact(f, 8, k, file_size))
             if prev_id is not None and frame_id <= prev_id:
                 raise OrderError(
                     f"frame ids not strictly ascending: {frame_id} after {prev_id}"
                 )
             prev_id = frame_id
-            g = np.frombuffer(_read_exact(f, 4 * header.dim_global, k), dtype="<f4")
+            g = np.frombuffer(_read_exact(f, 4 * header.dim_global, k, file_size), dtype="<f4")
             try:
-                g = GlobalDescriptor(frame_id, g.copy())
+                g = GlobalDescriptor(frame_id, g)
             except ValueError as exc:
                 raise CorruptionError(str(exc), offset=f.tell(), frame_index=k) from exc
-            (n_local,) = struct.unpack("<I", _read_exact(f, 4, k))
+            (n_local,) = struct.unpack("<I", _read_exact(f, 4, k, file_size))
             if n_local * record > file_size - f.tell():
                 raise CorruptionError(
                     f"local feature count {n_local} exceeds remaining payload",
@@ -149,7 +151,7 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
                     frame_index=k,
                 )
             block = np.frombuffer(
-                _read_exact(f, n_local * record, k), dtype="<f4"
+                _read_exact(f, n_local * record, k, file_size), dtype="<f4"
             ).reshape(n_local, 3 + header.dim_local)
             try:
                 locals_ = LocalFeatureSet(frame_id, block[:, 0:2].copy(), block[:, 2].copy(),
@@ -167,12 +169,14 @@ def read_features(path) -> Iterator[tuple[int, GlobalDescriptor, LocalFeatureSet
 def atomic_output(path, mode: str = "wb"):
     """Write to a same-directory temp file, renamed over ``path`` on success;
     a ``path`` that names a directory is refused before anything is written.
-    A temp file that cannot be made is reported under ``path``."""
+    The temp file gets the mode a plain ``open`` would (0666 less the umask),
+    and one that cannot be made is reported under ``path``."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
@@ -197,11 +201,12 @@ def write_features(
 ) -> None:
     """Write a container in one pass, checking each frame just before its bytes.
 
-    Frame types check their values as float32, so every frame that can be
-    built is one the reader accepts; :class:`ContainerHeader` checks the
-    header.  A rejected frame leaves no file at ``path`` (an existing one is
-    kept).  The header's image scales are ``S_G`` and ``S_L``.  Dimensions
-    come from the first frame, and must be given for an empty frame list.
+    Frame types store and check their values as float32, so every frame
+    that can be built is one the reader accepts; :class:`ContainerHeader`
+    checks the header.  A rejected frame leaves no file at ``path`` (an
+    existing one is kept).  The header's image scales are ``S_G`` and
+    ``S_L``.  Dimensions come from the first frame, and must be given for an
+    empty frame list.
     """
     frames = list(frames)
     if frames:

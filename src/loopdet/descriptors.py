@@ -9,7 +9,6 @@ L2-normalize -> PCA project -> L2-renormalize reduction chain.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -45,17 +44,11 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return w / float(np.linalg.norm(w))
 
 
-def _float32_peak(a: np.ndarray) -> float:
-    """The largest magnitude of ``a`` cast to float32 (inf from 2**128 - 2**103
-    up, NaN if ``a`` holds one); rounding is monotone, so only the peak is cast."""
-    peak = float(np.abs(a).max(initial=0.0))
-    return math.inf if peak >= 2.0**128 - 2.0**103 else float(np.float32(peak))
-
-
 @dataclass(frozen=True, eq=False)
 class GlobalDescriptor:
-    """Per-frame retrieval vector; one that is not finite, or is all zero, as
-    float32 (the container's precision) raises :class:`DegenerateDescriptorError`."""
+    """Per-frame retrieval vector, stored as a read-only float32 copy (the
+    container's precision); one that is not finite, or is all zero, as
+    float32 raises :class:`DegenerateDescriptorError`."""
 
     frame_id: int
     values: np.ndarray
@@ -63,14 +56,15 @@ class GlobalDescriptor:
     def __post_init__(self):
         if self.frame_id < 0:
             raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
-        values = np.asarray(self.values)
+        with np.errstate(over="ignore"):  # an overflow is inf
+            values = np.array(self.values, dtype=np.float32)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("descriptor values must be a non-empty 1-d vector")
-        peak = _float32_peak(values)
-        if not peak < math.inf:  # also for NaN
+        if not np.isfinite(values).all():
             raise DegenerateDescriptorError("non-finite global descriptor")
-        if peak == 0:
+        if not values.any():
             raise DegenerateDescriptorError("zero global descriptor")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -82,9 +76,9 @@ class GlobalDescriptor:
 class LocalFeatureSet:
     """Ordered local features of one frame, stored column-wise for speed.
 
-    ``coords`` is (n, 2), ``scores`` is (n,), ``descriptors`` is (n, d).
-    As float32, the container's and matching's precision, coords and scores
-    are finite, scores non-negative, and descriptor entries at most
+    ``coords`` is (n, 2), ``scores`` is (n,), ``descriptors`` is (n, d), all
+    stored as float32, the container's and matching's precision.  Coords and
+    scores are finite, scores non-negative, and descriptor entries at most
     ``2**62 / sqrt(d)`` in magnitude, so norms are at most 2**62 (4.6e18) and
     matching cannot overflow.  The set is frozen because it caches the squared
     descriptor norms, so ``descriptors`` must not be written in place either.
@@ -98,9 +92,10 @@ class LocalFeatureSet:
     def __post_init__(self):
         if self.frame_id < 0:
             raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
-        coords = np.atleast_2d(np.asarray(self.coords))
-        scores = np.asarray(self.scores).reshape(-1)
-        descriptors = np.atleast_2d(np.asarray(self.descriptors))
+        with np.errstate(over="ignore"):  # an overflow is inf
+            coords = np.atleast_2d(np.asarray(self.coords, dtype=np.float32))
+            scores = np.asarray(self.scores, dtype=np.float32).reshape(-1)
+            descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=np.float32))
         n = scores.shape[0]
         if coords.shape != (n, 2):
             raise ValueError(f"coords must have shape ({n}, 2), got {coords.shape}")
@@ -109,13 +104,14 @@ class LocalFeatureSet:
                 f"descriptor count {descriptors.shape[0]} does not match {n} features"
             )
         for name, arr in (("coords", coords), ("scores", scores)):
-            if not _float32_peak(arr) < math.inf:
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite as float32")
             object.__setattr__(self, name, arr)
         if (scores < 0).any():
             raise ValueError("attention scores must be non-negative")
         # norms of at most 2**62 keep |a|^2 - 2 a.b + |b|^2 below 2**126
-        if not descriptors.shape[1] * _float32_peak(descriptors) ** 2 <= 2.0**124:
+        peak = float(np.abs(descriptors).max(initial=0.0))
+        if not descriptors.shape[1] * peak**2 <= 2.0**124:  # also for NaN
             raise ValueError("descriptors must be finite, entries at most 2**62 / sqrt(d)")
         object.__setattr__(self, "descriptors", descriptors)
 
@@ -124,7 +120,7 @@ class LocalFeatureSet:
         """Float32 squared descriptor norms, computed on first use.  A frame's
         set is matched against every candidate and later stored as one, so
         this runs once per frame."""
-        D = np.asarray(self.descriptors, np.float32)
+        D = self.descriptors
         return (D * D).sum(axis=1)
 
     @property
@@ -138,7 +134,8 @@ class LocalFeatureSet:
 def filter_by_score(fs: LocalFeatureSet, delta: float) -> LocalFeatureSet:
     """Keep features whose attention score is strictly greater than ``delta``.
 
-    Order is preserved; ties at exactly ``delta`` are dropped.
+    Order is preserved; ties at exactly ``delta`` are dropped.  The float32
+    scores are compared with ``delta`` rounded to float32.
     """
     mask = fs.scores > delta
     return LocalFeatureSet(fs.frame_id, fs.coords[mask], fs.scores[mask], fs.descriptors[mask])
@@ -244,9 +241,10 @@ _ZERO_PROJECTION = 1e-12
 def reduce_features(model: PcaModel, fs: LocalFeatureSet) -> LocalFeatureSet:
     """Reduce every local descriptor of a set: L2 norm, centered projection, L2 renorm.
 
-    Rows whose raw descriptor is zero or whose projection lands on the
-    origin (norm at most 1e-12) are dropped together with their coordinates
-    and scores.
+    The reduction runs in float64; the returned set stores it as float32,
+    as every set does.  Rows whose raw descriptor is zero or whose
+    projection lands on the origin (norm at most 1e-12) are dropped together
+    with their coordinates and scores.
     """
     X = np.asarray(fs.descriptors, dtype=np.float64)
     if X.shape[1] != model.raw_dim:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .descriptors import GlobalDescriptor, LocalFeatureSet, l2_normalize
-from .geometry import sampson_distance
+from .geometry import FundamentalMatrix, sampson_distance
 from .pipeline import (
     STAGES,
     FrameRecord,
@@ -306,11 +306,7 @@ class EpipolarScene:
         tx = np.array(
             [[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0]], dtype=np.float64
         )
-        F = Kinv.T @ tx @ self.R @ Kinv
-        F /= np.linalg.norm(F)
-        if F.flat[np.abs(F).argmax()] < 0:
-            F = -F
-        self.F = F
+        self.F = FundamentalMatrix(Kinv.T @ tx @ self.R @ Kinv).m
         self._rng = rng
 
     @staticmethod
@@ -443,23 +439,18 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
             odesc = _unit_rows(rng, n_out, d)
             for f, pts, outl, ds in ((o, pa, oa, desc), (i, pb, ob, desc_b)):
                 locals_[f] = LocalFeatureSet(
-                    f,
-                    np.vstack([pts, outl]).astype(np.float32),
-                    rng.uniform(lo, hi, n_total).astype(np.float32),
-                    np.vstack([ds, odesc]).astype(np.float32),
+                    f, np.vstack([pts, outl]), rng.uniform(lo, hi, n_total), np.vstack([ds, odesc])
                 )
             planted[i] = PlantedLoop(i, o, scene.F, n_inl)
         elif i not in origins:
             locals_[i] = LocalFeatureSet(
                 i,
-                np.column_stack(
-                    [rng.uniform(0, w_img, n_total), rng.uniform(0, h_img, n_total)]
-                ).astype(np.float32),
-                rng.uniform(lo, hi, n_total).astype(np.float32),
-                _unit_rows(rng, n_total, d).astype(np.float32),
+                np.column_stack([rng.uniform(0, w_img, n_total), rng.uniform(0, h_img, n_total)]),
+                rng.uniform(lo, hi, n_total),
+                _unit_rows(rng, n_total, d),
             )
 
-    frames = [(i, GlobalDescriptor(i, walk[i].astype(np.float32)), locals_[i]) for i in range(T)]
+    frames = [(i, GlobalDescriptor(i, walk[i]), locals_[i]) for i in range(T)]
     pairs = {q: frozenset([p.origin_frame]) for q, p in planted.items()}
     return SyntheticDataset(frames, GroundTruth(pairs, frozenset(range(T))), planted, cfg)
 

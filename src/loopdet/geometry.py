@@ -102,10 +102,10 @@ def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) ->
     feature).  Returns no matches when ``b`` has fewer than two features,
     since the ratio is then undefined.
 
-    Distances are float32, the container's precision.  Each row ranks
-    ``|b|^2 - 2 a.b``, one GEMM on the descriptors cast to float32 with the
-    squared norms cached on each set, so a frame's norms are computed once
-    however many candidates it meets.  ``|a|^2`` is added to the two picked
+    Distances are float32, the precision the sets store.  Each row ranks
+    ``|b|^2 - 2 a.b``, one GEMM on the descriptors with the squared norms
+    cached on each set, so a frame's norms are computed once however many
+    candidates it meets.  ``|a|^2`` is added to the two picked
     values only, which are then clamped at zero: rounding can put a squared
     distance slightly below it, and a row whose two picks are both at or
     below zero is rejected as a tie.  ``dist`` is float32; the ratio is
@@ -118,8 +118,7 @@ def brute_force_match(a: LocalFeatureSet, b: LocalFeatureSet, epsilon: float) ->
         return Matches(none, none, np.empty(0, np.float32))
     # scaling by -2 is exact, so (-2A) B^T equals -2 (A B^T) bit for bit
     # (outside the subnormal range), and costs a pass over A instead of E
-    A = np.multiply(a.descriptors, -2.0, dtype=np.float32)
-    E = A @ np.asarray(b.descriptors, np.float32).T
+    E = (a.descriptors * -2.0) @ b.descriptors.T
     E += b._sq_norms
     # argmin keeps the first of tied minima; once it is masked, a second
     # argmin finds the second nearest (numpy's row argmin is faster than its

@@ -117,9 +117,9 @@ def _keep_diverse(
     return kept
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """``a`` with twice its rows; the new rows are zero."""
-    grown = np.zeros((2 * a.shape[0],) + a.shape[1:], dtype=a.dtype)
+def _grown(a: np.ndarray) -> np.ndarray:
+    """``a`` with twice its rows, at least 16; the new rows are zero."""
+    grown = np.zeros((max(2 * a.shape[0], 16),) + a.shape[1:], dtype=a.dtype)
     grown[: a.shape[0]] = a
     return grown
 
@@ -138,15 +138,17 @@ class HnswIndex:
         self.params = params if params is not None else HnswParams()
         self._dim = dim
         self._rng = np.random.default_rng(self.params.rng_seed)
-        self._vectors = np.zeros((256, dim), dtype=np.float32)
+        # no rows until the first insert, so an index of any dim costs no
+        # memory before it holds a vector
+        self._vectors = np.zeros((0, dim), dtype=np.float32)
         self._ids: list[int] = []
         self._levels: list[int] = []
         # Links, one fixed-width row per node on each of its layers 0..level:
         # _adj[layer][r, :_deg[layer][r]] are row r's neighbor idxs.  Node idx
         # is row idx on layer 0 and row _rows[layer][idx] above it; upper-layer
         # rows follow insertion order.  Rows grow by doubling, like _vectors.
-        self._adj = [np.zeros((256, self.params.M0), dtype=np.int64)]
-        self._deg = [np.zeros(256, dtype=np.int64)]
+        self._adj = [np.zeros((0, self.params.M0), dtype=np.int64)]
+        self._deg = [np.zeros(0, dtype=np.int64)]
         self._rows: list[dict[int, int]] = [{}]  # _rows[0] stays empty
         self._entry: int | None = None
         self._max_level = -1
@@ -165,21 +167,21 @@ class HnswIndex:
     def _append_node(self, frame_id: int, vec32: np.ndarray, level: int) -> int:
         idx = len(self._ids)
         if idx == self._vectors.shape[0]:
-            self._vectors = _doubled(self._vectors)
-            self._adj[0] = _doubled(self._adj[0])
-            self._deg[0] = _doubled(self._deg[0])
+            self._vectors = _grown(self._vectors)
+            self._adj[0] = _grown(self._adj[0])
+            self._deg[0] = _grown(self._deg[0])
         self._vectors[idx] = vec32
         self._ids.append(frame_id)
         self._levels.append(level)
         for layer in range(1, level + 1):
             if layer == len(self._adj):
-                self._adj.append(np.zeros((16, self.params.M), dtype=np.int64))
-                self._deg.append(np.zeros(16, dtype=np.int64))
+                self._adj.append(np.zeros((0, self.params.M), dtype=np.int64))
+                self._deg.append(np.zeros(0, dtype=np.int64))
                 self._rows.append({})
             rows = self._rows[layer]
             if len(rows) == self._adj[layer].shape[0]:
-                self._adj[layer] = _doubled(self._adj[layer])
-                self._deg[layer] = _doubled(self._deg[layer])
+                self._adj[layer] = _grown(self._adj[layer])
+                self._deg[layer] = _grown(self._deg[layer])
             rows[idx] = len(rows)
         return idx
 

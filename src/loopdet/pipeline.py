@@ -103,34 +103,30 @@ def _gate(record: FrameRecord, tau: int) -> int | None:
 
 
 class TemporalFilter:
-    """Streak counter behind the beta-consecutive-frames rule.
+    """Streak tracker behind the beta-consecutive-frames rule.
 
     ``update`` is called once per processed frame with the verified match id
     (or None).  It returns True when the current frame completes a streak of
     at least ``beta`` consecutive verified frames whose matched ids stay
     within ``window`` of each other; a success outside the window starts a
-    fresh streak rather than extending the old one.
+    fresh streak rather than extending the old one.  Only the streak's last
+    ``beta`` ids are kept, so the streak is complete once it holds ``beta``.
     """
 
     def __init__(self, beta: int, window: int):
         self.beta = beta
         self.window = window
-        self._streak = 0
-        self._recent: deque[int] = deque(maxlen=max(beta - 1, 0))
+        self._streak: deque[int] = deque(maxlen=beta)
 
     def update(self, matched_frame: int | None) -> bool:
         if matched_frame is None:
-            self._streak = 0
-            self._recent.clear()
+            self._streak.clear()
             return False
-        ids = list(self._recent) + [matched_frame]
-        if self._streak > 0 and max(ids) - min(ids) <= self.window:
-            self._streak += 1
-        else:
-            self._streak = 1
-            self._recent.clear()
-        self._recent.append(matched_frame)
-        return self._streak >= self.beta
+        self._streak.append(matched_frame)
+        if max(self._streak) - min(self._streak) > self.window:
+            self._streak.clear()
+            self._streak.append(matched_frame)
+        return len(self._streak) == self.beta
 
 
 def _candidate_rng(seed: int, query_frame: int, candidate_frame: int) -> np.random.Generator:
@@ -175,11 +171,9 @@ class LoopClosurePipeline:
                 raise ValueError(
                     f"frame {frame_id}: {type(part).__name__} names frame {part.frame_id}"
                 )
-        # a copy the caller cannot reuse; the index normalizes it on insert
-        vec = np.array(g.values, dtype=np.float64)
-        if vec.shape[0] != self.index.dim:
+        if g.dim != self.index.dim:
             raise ValueError(
-                f"descriptor dimension {vec.shape[0]} does not match index dim {self.index.dim}"
+                f"descriptor dimension {g.dim} does not match index dim {self.index.dim}"
             )
         stages = dict.fromkeys(STAGES, 0.0)
 
@@ -204,7 +198,7 @@ class LoopClosurePipeline:
         candidates = []
         if len(self.index) > 0:
             t0 = time.perf_counter()
-            candidates = self.index.knn_search(vec, cfg.n)
+            candidates = self.index.knn_search(g.values, cfg.n)
             stages["graph_searching"] = time.perf_counter() - t0
         record = FrameRecord(frame_id, *self.verify_candidates(kept, candidates, stages), stages)
         closes_loop = self._temporal.update(_gate(record, cfg.tau))
@@ -213,7 +207,7 @@ class LoopClosurePipeline:
                 f"exclusion-zone invariant violated: {frame_id} matched {record.matched_frame}"
             )
 
-        self.fifo.append((frame_id, vec))
+        self.fifo.append((frame_id, g.values))
         self.locals_store[frame_id] = kept
         if self._local_dim is None and len(kept):
             self._local_dim = kept.dim

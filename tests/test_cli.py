@@ -200,6 +200,28 @@ class TestDetect:
         error = one_error(capsys)
         assert "corruption" in error and "frame 25" in error and "descriptors" in error
 
+    @pytest.mark.parametrize("frame_count, dim_global, size, code", [
+        (0, 40, 32, 0),
+        (0, 2**32 - 1, 32, 0),  # an empty stream: no storage of the dimension is made
+        (1, 2**28, 92, 2),  # the declared 1 GiB descriptor is truncated
+        (1, 2**32 - 1, 92, 2),  # and so is 16 GiB, refused before a read allocates it
+    ])
+    def test_declared_global_dimension_allocates_nothing_up_front(
+        self, frame_count, dim_global, size, code, tmp_path, capsys
+    ):
+        feats, out = tmp_path / "huge.fftc", tmp_path / "det.csv"
+        header = struct.pack("<4sIIIIfff", b"FFTC", 1, frame_count, dim_global, 40,
+                             10.0, 0.5, 1.4)
+        feats.write_bytes(header.ljust(size, b"\0"))
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--out", out]) == code
+        if code == 0:
+            assert "Traceback" not in capsys.readouterr().err
+            assert out.read_text() == "query_frame,matched_frame,inliers,similarity\n"
+        else:
+            assert one_error(capsys).startswith("error: invalid feature file (corruption)")
+            assert not out.exists()
+
     def test_byte_identical_reruns(self, synth_paths, tmp_path):
         feats, _ = synth_paths
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -90,6 +90,13 @@ class TestRoundTrip:
         write_features(path, frames, phi=10.0)
         assert path.stat().st_size == 32 + 8 + 16 + 4 + 2 * 6 * 4
 
+    def test_written_file_has_the_mode_of_a_plain_open(self, tmp_path, rng):
+        # 0666 less the umask, not the owner-only mode of a temp file
+        written, plain = tmp_path / "f.fftc", tmp_path / "plain"
+        write_sample(written, rng)
+        plain.write_bytes(b"")
+        assert oct(written.stat().st_mode & 0o777) == oct(plain.stat().st_mode & 0o777)
+
 
 class TestWriterValidation:
     def test_descending_ids_rejected_before_write(self, tmp_path, rng):

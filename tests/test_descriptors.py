@@ -130,6 +130,15 @@ class TestFitPca:
             assert np.abs(gram - np.eye(8)).max() < 1e-5
 
 
+def hadamard_pair(rows):
+    """Two orthonormal columns with entries 0 and +-1/2, exact in float32: the
+    first four of ``rows`` hold them, ``(1, 1, 1, 1)`` and ``(1, -1, 1, -1)``
+    halved."""
+    Q = np.zeros((len(rows), 2))
+    Q[rows[:4]] = 0.5 * np.array([[1, 1], [1, -1], [1, 1], [1, -1]])
+    return Q
+
+
 def reduce_one(model, raw, x=1.0, y=2.0, score=3.0):
     """Reduce a single raw local descriptor through :func:`reduce_features`."""
     fs = LocalFeatureSet(7, [[x, y]], [score], np.asarray(raw, dtype=float)[None, :])
@@ -144,24 +153,24 @@ class TestReduceLocal:
     def test_unit_norm_output_matches_matrix_oracle(self, rng):
         samples = np.random.default_rng(5).standard_normal((100, 1024))
         model = fit_pca(samples, out_dim=40)
-        raw = rng.standard_normal(1024)
+        raw = rng.standard_normal(1024).astype(np.float32)  # as the set stores it
         out = reduce_one(model, raw)
         assert math.isclose(np.linalg.norm(out.descriptors[0]), 1.0, abs_tol=1e-6)
-        # direct matrix-multiply oracle
-        v = raw / np.linalg.norm(raw)
-        z = model.basis.T @ (v - model.mean)
-        np.testing.assert_allclose(out.descriptors[0], z / np.linalg.norm(z), atol=1e-9)
+        # direct float64 matrix-multiply oracle, rounded to the stored float32
+        v = raw.astype(np.float64)
+        z = model.basis.T @ (v / np.linalg.norm(v) - model.mean)
+        oracle = (z / np.linalg.norm(z)).astype(np.float32)
+        np.testing.assert_array_equal(out.descriptors[0], oracle)
         assert out.frame_id == 7
         assert (*out.coords[0], out.scores[0]) == (1.0, 2.0, 3.0)
 
     def test_zero_projection_row_dropped(self, rng):
-        # build a unit-norm input whose centered form is orthogonal to the basis
-        model = self.make_model(rng, raw_dim=8, out_dim=2)
-        span = np.hstack([model.basis, model.mean[:, None]])
-        null = np.linalg.svd(span.T)[2][-1]  # orthogonal to basis columns and mean
-        alpha = math.sqrt(max(0.0, 1.0 - np.linalg.norm(model.mean) ** 2))
-        raw = model.mean + alpha * null
-        assert math.isclose(np.linalg.norm(raw), 1.0, abs_tol=1e-12)
+        # a unit-norm input whose centered form is orthogonal to the basis, all
+        # exact in float32, so the projection is the origin itself: a fitted
+        # basis would leave the stored float32 input ~1e-8 off the null space
+        perm = rng.permutation(8)
+        model = PcaModel(0.5 * np.eye(8)[perm[4]], hadamard_pair(perm), np.array([2.0, 1.0]))
+        raw = np.eye(8)[perm[4]]
         good = rng.standard_normal(8)
         fs = LocalFeatureSet(0, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [5.0, 6.0, 7.0],
                              np.stack([good, raw, np.zeros(8)]))
@@ -169,14 +178,15 @@ class TestReduceLocal:
         assert len(out) == 1 and out.dim == 2
         np.testing.assert_array_equal(out.coords, [[1.0, 1.0]])
         np.testing.assert_array_equal(out.scores, [5.0])
-        np.testing.assert_allclose(out.descriptors, reduce_one(model, good).descriptors)
+        np.testing.assert_array_equal(out.descriptors, reduce_one(model, good).descriptors)
 
     def test_principal_axis_maps_to_unit_basis_vector(self, rng):
-        # model with a known eigenbasis: raw along the first axis -> +-e1
-        Q = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        # model with a known eigenbasis, exact in float32: raw along the first
+        # axis -> +-e1
+        Q = hadamard_pair(rng.permutation(6))
         model = PcaModel(np.zeros(6), Q, np.array([2.0, 1.0]))
         out = reduce_one(model, 5.0 * Q[:, 0])
-        np.testing.assert_allclose(np.abs(out.descriptors[0]), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_array_equal(np.abs(out.descriptors[0]), [1.0, 0.0])
 
     def test_dimension_mismatch(self, rng):
         model = self.make_model(rng)
@@ -184,12 +194,12 @@ class TestReduceLocal:
             reduce_one(model, np.ones(5))
 
     def test_empty_set_is_projected_like_any_other(self, rng):
-        # (0, out_dim) float64 out, as every reduced set; a dimension other
+        # (0, out_dim) float32 out, as every reduced set; a dimension other
         # than the model's raw_dim is rejected, rows or not
         model = self.make_model(rng, raw_dim=8, out_dim=2)
         out = reduce_features(model, empty_set(3, 8))
         assert out.frame_id == 3 and len(out) == 0
-        assert out.descriptors.shape == (0, 2) and out.descriptors.dtype == np.float64
+        assert out.descriptors.shape == (0, 2) and out.descriptors.dtype == np.float32
         with pytest.raises(ValueError, match="raw_dim"):
             reduce_features(model, empty_set(3, 5))
 
@@ -237,7 +247,9 @@ class TestFilterByScore:
             return
         fs = feature_set(scores)
         out = filter_by_score(fs, delta)
-        kept = [i for i, s in enumerate(scores) if s > delta]
+        # the float32 scores as the set stores them, each compared as the filter
+        # compares them, with delta rounded to float32
+        kept = [i for i, s in enumerate(fs.scores) if s > delta]
         np.testing.assert_array_equal(out.scores, fs.scores[kept])
         np.testing.assert_array_equal(out.coords, fs.coords[kept])
 

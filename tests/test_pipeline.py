@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopdet.pipeline as pipeline
 from loopdet import (
@@ -109,6 +113,39 @@ class TestTemporalFilter:
     def test_beta_one_emits_immediately(self):
         tf = TemporalFilter(beta=1, window=15)
         assert tf.update(7) is True
+
+    @settings(max_examples=500)
+    @given(st.integers(1, 5), st.integers(0, 20),
+           st.lists(st.none() | st.integers(0, 60), max_size=40))
+    def test_matches_counting_oracle(self, beta, window, matched):
+        tf, oracle = TemporalFilter(beta, window), CountingTemporalFilter(beta, window)
+        assert [tf.update(m) for m in matched] == [oracle.update(m) for m in matched]
+
+
+class CountingTemporalFilter:
+    """Reference streak filter: a streak counter, and the last ``beta - 1``
+    matched ids, which a success must stay within ``window`` of to extend
+    the streak."""
+
+    def __init__(self, beta, window):
+        self.beta = beta
+        self.window = window
+        self.streak = 0
+        self.recent = deque(maxlen=max(beta - 1, 0))
+
+    def update(self, matched_frame):
+        if matched_frame is None:
+            self.streak = 0
+            self.recent.clear()
+            return False
+        ids = list(self.recent) + [matched_frame]
+        if self.streak > 0 and max(ids) - min(ids) <= self.window:
+            self.streak += 1
+        else:
+            self.streak = 1
+            self.recent.clear()
+        self.recent.append(matched_frame)
+        return self.streak >= self.beta
 
 
 class TestProcessFrame:
@@ -233,15 +270,18 @@ class TestProcessFrame:
         assert all(d.query_frame - d.matched_frame >= cfg.n_non for d in detections)
 
     def test_caller_buffer_reuse_does_not_reach_the_index(self, rng):
-        # GlobalDescriptor keeps the caller's array; frame 0 enters the
-        # index N_non = 100 frames later, after its buffer was overwritten
+        # GlobalDescriptor keeps a read-only float32 copy of the caller's
+        # array; frame 0 enters the index N_non = 100 frames later, after the
+        # caller's buffer was overwritten
         pipe = LoopClosurePipeline(tiny_config(psi=10.0), 16)
         frames = drifting_frames(rng, 101)
         buf = unit_rows(rng, 1, 16)[0]
-        expected = l2_normalize(buf).astype(np.float32)
+        expected = l2_normalize(buf.astype(np.float32)).astype(np.float32)
         g = GlobalDescriptor(0, buf)
         pipe.process_frame(0, g, frames[0][2])
-        g.values[:] = unit_rows(rng, 1, 16)[0]
+        buf[:] = unit_rows(rng, 1, 16)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            g.values[:] = buf
         for fid, g_, lf in frames[1:]:
             pipe.process_frame(fid, g_, lf)
         assert len(pipe.index) == 1
