@@ -1,12 +1,14 @@
 """End-to-end walkthrough: synthetic trajectory in, loop detections out.
 
 A 1,200-frame trajectory revisits two of its earlier stretches.  Frames are
-fed to the online pipeline one at a time by ``run_pipeline``; the FIFO queue
-holds the latest psi * phi frames out of the index so a query can never
-match its immediate past.  Detections require beta consecutive geometrically
-verified frames; each one is the FrameRecord of the frame that closed the loop.
-A final threshold sweep replays the same run's records to show the
-precision/recall trade-off without a second pass.
+fed to the online pipeline one at a time by ``collect_frame_records``, which
+keeps each frame's record: its best candidate and inlier count, whatever tau
+is.  The FIFO queue holds the latest psi * phi frames out of the index so a
+query can never match its immediate past.  ``replay_detections`` passes the
+records through the inlier gate and the temporal filter, which require beta
+consecutive geometrically verified frames, and yields exactly what a live run
+at that tau reports.  A final threshold sweep replays the same records to
+show the precision/recall trade-off without a second pass.
 """
 
 import time
@@ -16,10 +18,11 @@ from loopdet import (
     PipelineConfig,
     RevisitSegment,
     SynthConfig,
+    collect_frame_records,
     generate_synthetic,
     pr_curve,
     recall_at_full_precision,
-    run_pipeline,
+    replay_detections,
     score,
 )
 
@@ -53,25 +56,26 @@ print(f"trajectory: {len(dataset.frames)} frames, "
       f"{len(dataset.ground_truth.pairs)} labeled loop events")
 
 t0 = time.perf_counter()
-detections, pipeline = run_pipeline(dataset.frames, config, dataset.config.dim_global)
+records, pipeline = collect_frame_records(dataset.frames, config, dataset.config.dim_global)
 elapsed = time.perf_counter() - t0
+detections = replay_detections(records, config.tau, config.beta, config.window)
 print(f"processed at {elapsed / len(dataset.frames) * 1e3:.2f} ms/frame, "
       f"{len(detections)} loop closures reported")
 
 print(f"at the end: {len(pipeline.index)} frames searchable in the index, "
       f"the last {len(pipeline.fifo)} held back in the FIFO (exclusion zone {config.n_non})")
 
-first = detections[0]
+first = next(r for r in records if r.query_frame == detections[0][0])
 print(f"first detection: frame {first.query_frame} -> {first.matched_frame} "
       f"({first.inlier_count} inliers, similarity {first.similarity:.4f})")
 
-pairs = [(d.query_frame, d.matched_frame) for d in detections]
+pairs = [(query, matched) for query, matched, _ in detections]
 tp, fp, fn = score(pairs, dataset.ground_truth, window=0)
 print(f"\nat tau={config.tau}: tp={tp} fp={fp} fn={fn} "
       f"(precision {tp / (tp + fp):.3f}, recall {tp / (tp + fn):.3f})")
 
 curve = pr_curve(dataset.frames, dataset.ground_truth, config, range(0, 41, 4),
-                 records=pipeline.records)
+                 records=records)
 print(f"\n{'tau':>4} {'precision':>10} {'recall':>8}")
 for p in curve:
     print(f"{p.tau:>4} {p.precision:>10.3f} {p.recall:>8.3f}")

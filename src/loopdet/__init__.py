@@ -68,7 +68,6 @@ from .pipeline import (
     PipelineConfig,
     collect_frame_records,
     replay_detections,
-    run_pipeline,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "recall_at_full_precision",
     "reduce_features",
     "replay_detections",
-    "run_pipeline",
     "sampson_distance",
     "save_pca_model",
     "score",

@@ -46,7 +46,7 @@ from .evaluation import (
     write_timing_csv,
 )
 from .hnsw import HnswIndex, HnswParams
-from .pipeline import PipelineConfig, collect_frame_records, run_pipeline
+from .pipeline import LoopClosurePipeline, PipelineConfig, collect_frame_records
 
 LOG_ENV = "FILDPP_LOG"
 logger = logging.getLogger("loopdet")
@@ -243,7 +243,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
                              f"{header.dim_local}-d local descriptors")
         frames = ((i, g, reduce_features(pca, ls)) for i, g, ls in frames)
     out = cfg.out or "detections.csv"
-    detections, pipeline = run_pipeline(frames, _pipeline_config(cfg, phi), header.dim_global)
+    pipeline = LoopClosurePipeline(_pipeline_config(cfg, phi), header.dim_global)
+    detections = [det for frame in frames if (det := pipeline.process_frame(*frame)) is not None]
     with atomic_output(out, "w") as f:
         f.write("query_frame,matched_frame,inliers,similarity\n")
         for det in detections:
@@ -252,7 +253,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 f"{det.inlier_count},{det.similarity:.6f}\n"
             )
     logger.info("processed %d frames, %d detections -> %s",
-                len(pipeline.records), len(detections), out)
+                header.frame_count, len(detections), out)
     return 0
 
 

@@ -58,8 +58,15 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.psi <= 0 or self.phi <= 0 or self.psi * self.phi < 1.0:
-            raise ValueError("psi and phi must be positive with psi * phi >= 1")
+        # the exclusion zone round(psi * phi) must be a finite frame count
+        for name, valid in (("psi", 0 < self.psi < np.inf), ("phi", 0 < self.phi < np.inf),
+                            ("psi * phi", 1.0 <= self.psi * self.phi < np.inf)):
+            if not valid:  # also for NaN
+                raise ValueError(f"{name} out of range: psi and phi must be positive and finite "
+                                 f"with 1 <= psi * phi < inf, got psi={self.psi} phi={self.phi}")
+        with np.errstate(over="ignore"):  # an overflow is inf
+            if not np.isfinite(np.float32(self.delta)):  # the precision of the scores
+                raise ValueError(f"delta must be finite as float32, got {self.delta}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.beta < 1:
@@ -137,10 +144,12 @@ def _candidate_rng(seed: int, query_frame: int, candidate_frame: int) -> np.rand
 class LoopClosurePipeline:
     """Sequential detector: feed frames in strictly increasing id order.
 
-    ``process_frame`` is single-writer; within one call the candidate
-    verifications are independent and merged deterministically in candidate
-    order.  One :class:`FrameRecord` per processed frame accumulates in
-    ``records``.
+    ``record_frame`` is the one step: it returns the frame's
+    :class:`FrameRecord` and keeps nothing of it, so the pipeline grows only
+    by its index and its local-feature store.  ``process_frame`` passes that
+    record through the inlier gate and the temporal filter.  Both are
+    single-writer; within one call the candidate verifications are
+    independent and merged deterministically in candidate order.
     """
 
     def __init__(self, config: PipelineConfig, dim: int):
@@ -148,16 +157,15 @@ class LoopClosurePipeline:
         self.index = HnswIndex(dim, config.hnsw)
         self.fifo: deque[tuple[int, np.ndarray]] = deque()
         self.locals_store: dict[int, LocalFeatureSet] = {}
-        self.records: list[FrameRecord] = []
         self._temporal = TemporalFilter(config.beta, config.window)
         self._last_frame_id: int | None = None
         self._local_dim: int | None = None  # of the first non-empty stored set
 
-    def process_frame(
+    def record_frame(
         self, frame_id: int, g: GlobalDescriptor, locals_: LocalFeatureSet
-    ) -> FrameRecord | None:
-        """Run one step of the detection loop; returns the frame's record if
-        the frame closes a loop, else None."""
+    ) -> FrameRecord:
+        """Run one step of the detection loop up to the inlier gate; returns
+        the frame's record, whatever ``tau`` is."""
         t_start = time.perf_counter()
         cfg = self.config
         if self._last_frame_id is not None and frame_id <= self._last_frame_id:
@@ -201,8 +209,7 @@ class LoopClosurePipeline:
             candidates = self.index.knn_search(g.values, cfg.n)
             stages["graph_searching"] = time.perf_counter() - t0
         record = FrameRecord(frame_id, *self.verify_candidates(kept, candidates, stages), stages)
-        closes_loop = self._temporal.update(_gate(record, cfg.tau))
-        if closes_loop and frame_id - record.matched_frame < cfg.n_non:
+        if record.matched_frame is not None and frame_id - record.matched_frame < cfg.n_non:
             raise RuntimeError(
                 f"exclusion-zone invariant violated: {frame_id} matched {record.matched_frame}"
             )
@@ -213,8 +220,15 @@ class LoopClosurePipeline:
             self._local_dim = kept.dim
         self._last_frame_id = frame_id
         stages["whole_system"] = time.perf_counter() - t_start
-        self.records.append(record)
-        return record if closes_loop else None
+        return record
+
+    def process_frame(
+        self, frame_id: int, g: GlobalDescriptor, locals_: LocalFeatureSet
+    ) -> FrameRecord | None:
+        """Run one step of the detection loop; returns the frame's record if
+        the frame closes a loop, else None."""
+        record = self.record_frame(frame_id, g, locals_)
+        return record if self._temporal.update(_gate(record, self.config.tau)) else None
 
     def verify_candidates(
         self,
@@ -256,27 +270,6 @@ class LoopClosurePipeline:
         return best
 
 
-def run_pipeline(
-    frames: Iterable[tuple[int, GlobalDescriptor, LocalFeatureSet]],
-    config: PipelineConfig,
-    dim: int,
-) -> tuple[list[FrameRecord], LoopClosurePipeline]:
-    """Feed a frame stream through a fresh pipeline; returns the records of
-    the frames that closed a loop, and the pipeline.
-
-    The one way to run the pipeline over a stream: the CLI, the threshold
-    sweep and the timing table all go through it and read the per-frame
-    records from the returned pipeline.
-    """
-    pipeline = LoopClosurePipeline(config, dim)
-    detections = []
-    for frame_id, g, locals_ in frames:
-        det = pipeline.process_frame(frame_id, g, locals_)
-        if det is not None:
-            detections.append(det)
-    return detections, pipeline
-
-
 def replay_detections(
     records: Sequence[FrameRecord], tau: int, beta: int, window: int
 ) -> list[tuple[int, int, int]]:
@@ -300,7 +293,12 @@ def collect_frame_records(
     config: PipelineConfig,
     dim: int,
 ) -> tuple[list[FrameRecord], LoopClosurePipeline]:
-    """One pipeline pass for threshold sweeps: its records, which do not
-    depend on ``config.tau``, replay at any ``tau``."""
-    _, pipeline = run_pipeline(frames, config, dim)
-    return pipeline.records, pipeline
+    """Feed a frame stream through a fresh pipeline; returns every frame's
+    record and the pipeline.
+
+    The one driver that keeps records: threshold sweeps replay them at any
+    ``tau`` (they do not depend on ``config.tau``), and the timing table
+    reads their stage timings.
+    """
+    pipeline = LoopClosurePipeline(config, dim)
+    return [pipeline.record_frame(*frame) for frame in frames], pipeline

@@ -14,12 +14,12 @@ PUBLIC = [
     "fit_pca", "generate_synthetic", "l2_normalize", "load_pca_model",
     "mean_recall", "pr_curve", "ransac_fundamental", "read_features",
     "read_ground_truth", "read_header", "recall_at_full_precision", "reduce_features",
-    "replay_detections", "run_pipeline", "sampson_distance", "save_pca_model",
-    "score", "write_features", "write_ground_truth",
+    "replay_detections", "sampson_distance", "save_pca_model", "score",
+    "write_features", "write_ground_truth",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 50
     assert loopdet.__all__ == PUBLIC
     assert all(hasattr(loopdet, name) for name in PUBLIC)

@@ -1,6 +1,7 @@
 import errno
 import os
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -123,6 +124,25 @@ class TestDetect:
             q, m, inl, sim = line.split(",")
             assert int(q) - int(m) >= 20  # psi * phi
             assert int(inl) >= 10
+
+    @pytest.mark.parametrize("argv, knob", [
+        (["--psi", "inf"], "psi"),
+        (["--phi", "inf"], "phi"),
+        (["--psi", 1e308, "--phi", 10], "psi * phi"),  # an inf exclusion zone
+        (["--psi", "nan"], "psi"),
+        (["--delta", 1e39], "delta"),  # inf as the scores' float32
+        (["--delta", "nan"], "delta"),  # would drop every feature
+    ])
+    def test_knob_out_of_range_exits_1_without_output(self, argv, knob, synth_paths, tmp_path,
+                                                      capsys):
+        feats, _ = synth_paths
+        out = tmp_path / "det.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # as the CI steps run
+            assert run(["detect", "--features", feats, "--out", out] + DETECT_FLAGS + argv) == 1
+        assert not out.exists()
+        assert one_error(capsys).startswith(f"error: {knob} ")
 
     def test_no_revisits_empty_csv(self, tmp_path):
         feats = tmp_path / "plain.fftc"
@@ -356,6 +376,9 @@ class TestSynth:
         ["--sigma-global", -0.3],
         ["--sigma-desc", "inf"],
         ["--sigma-global", "nan"],
+        ["--psi", "inf"],
+        ["--psi", "nan"],
+        ["--psi", 1e308, "--phi", 10],  # an inf exclusion zone
     ])
     def test_invalid_stream_exits_1_without_output(self, argv, tmp_path, capsys):
         out = tmp_path / "x.fftc"
@@ -520,12 +543,12 @@ class TestPcaFit:
     def test_dimension_mismatch_exits_1_before_any_work(self, synth_paths, tmp_path, capsys,
                                                         monkeypatch):
         # a 64 -> 40 model on a container that already holds 40-d locals
-        from loopdet import PcaModel, cli, save_pca_model
+        from loopdet import LoopClosurePipeline, PcaModel, save_pca_model
 
         def never(*args, **kwargs):
             raise AssertionError("the pipeline ran")
 
-        monkeypatch.setattr(cli, "run_pipeline", never)
+        monkeypatch.setattr(LoopClosurePipeline, "record_frame", never)
         feats, _ = synth_paths
         model_path = tmp_path / "model.fpca"
         basis = np.eye(64)[:, :40]
@@ -541,12 +564,12 @@ class TestPcaFit:
     @pytest.mark.parametrize("damage", ["nan", "truncated"])
     def test_damaged_model_exits_1_before_any_work(self, damage, synth_paths, tmp_path, capsys,
                                                    monkeypatch):
-        from loopdet import PcaModel, cli, save_pca_model
+        from loopdet import LoopClosurePipeline, PcaModel, save_pca_model
 
         def never(*args, **kwargs):
             raise AssertionError("the pipeline ran")
 
-        monkeypatch.setattr(cli, "run_pipeline", never)
+        monkeypatch.setattr(LoopClosurePipeline, "record_frame", never)
         feats, _ = synth_paths
         model_path = tmp_path / "model.fpca"
         save_pca_model(model_path, PcaModel(np.zeros(40), np.eye(40), np.ones(40)))
@@ -565,7 +588,7 @@ class TestPcaFit:
             self, synth_paths, tmp_path, capsys, monkeypatch):
         # raw_dim = out_dim = 2**31 claim a 16 EiB payload; no read may ask
         # for more bytes than the file holds
-        from loopdet import PcaModel, cli, descriptors, save_pca_model
+        from loopdet import LoopClosurePipeline, PcaModel, descriptors, save_pca_model
 
         def never(*args, **kwargs):
             raise AssertionError("the pipeline ran")
@@ -576,7 +599,7 @@ class TestPcaFit:
             assert n <= size, f"read of {n} bytes from a {size}-byte model"
             return read_exact(f, n, what)
 
-        monkeypatch.setattr(cli, "run_pipeline", never)
+        monkeypatch.setattr(LoopClosurePipeline, "record_frame", never)
         monkeypatch.setattr(descriptors, "_read_exact", bounded)
         feats, _ = synth_paths
         model_path = tmp_path / "model.fpca"

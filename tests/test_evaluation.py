@@ -16,12 +16,11 @@ from loopdet import (
     pr_curve,
     read_ground_truth,
     recall_at_full_precision,
-    run_pipeline,
     score,
     write_ground_truth,
 )
 from loopdet.evaluation import aggregate_timings, write_timing_csv
-from loopdet.pipeline import STAGES
+from loopdet.pipeline import STAGES, collect_frame_records
 
 FAST_HNSW = HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1)
 
@@ -404,8 +403,8 @@ class TestBitIdentity:
 
 
 def timed_records(ds, cfg):
-    _, pipeline = run_pipeline(ds.frames, cfg, ds.config.dim_global)
-    return pipeline.records
+    records, _ = collect_frame_records(ds.frames, cfg, ds.config.dim_global)
+    return records
 
 
 class TestTimingHarness:

@@ -20,10 +20,11 @@ from loopdet import (
     SynthConfig,
     VerificationResult,
     brute_force_match,
+    collect_frame_records,
     eight_point,
     generate_synthetic,
     ransac_fundamental,
-    run_pipeline,
+    replay_detections,
     sampson_distance,
 )
 from conftest import empty_set, planted_matches, unit_rows
@@ -200,8 +201,9 @@ def match_set(m, inlier_frac, seed, duplicate):
 
 
 def revisit_outcome():
-    """Every frame's record, timings aside, and the detecting frames of a
-    revisit stream with 30% outlier features and noisy descriptor copies."""
+    """Every frame's record, timings aside, and the detecting frames (the
+    records replayed at the run's tau) of a revisit stream with 30% outlier
+    features and noisy descriptor copies."""
     dataset = generate_synthetic(SynthConfig(
         n_frames=120, segments=(RevisitSegment(10, 60, 25),), dim_global=32,
         features_per_frame=60, outlier_fraction=0.3, sigma_px=1.0,
@@ -211,12 +213,12 @@ def revisit_outcome():
         psi=2.0, phi=10.0, n=3, tau=10, delta=0.0, seed=1,
         hnsw=HnswParams(M=8, ef_construction=24, ef_search=24, rng_seed=1),
     )
-    detections, pipe = run_pipeline(dataset.frames, config, 32)
-    records = [
+    records, _ = collect_frame_records(dataset.frames, config, 32)
+    detections = replay_detections(records, config.tau, config.beta, config.window)
+    return [
         (r.query_frame, r.matched_frame, r.inlier_count, np.float64(r.similarity).tobytes())
-        for r in pipe.records
-    ]
-    return records, [d.query_frame for d in detections]
+        for r in records
+    ], [q for q, _, _ in detections]
 
 
 class TestBitIdentity:

@@ -1,3 +1,5 @@
+import inspect
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -18,10 +20,10 @@ from loopdet import (
     PipelineConfig,
     RevisitSegment,
     SynthConfig,
+    collect_frame_records,
     generate_synthetic,
     l2_normalize,
     replay_detections,
-    run_pipeline,
 )
 from loopdet.pipeline import TemporalFilter
 from conftest import empty_set, unit_rows
@@ -35,6 +37,13 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return PipelineConfig(**base)
+
+
+def live_detections(frames, cfg, dim):
+    """What ``process_frame`` returns for each frame of a fresh pipeline,
+    keeping the detections, and the pipeline."""
+    pipe = LoopClosurePipeline(cfg, dim)
+    return [det for frame in frames if (det := pipe.process_frame(*frame)) is not None], pipe
 
 
 def drifting_frames(rng, count, dim=16):
@@ -152,7 +161,7 @@ class TestProcessFrame:
     def test_no_detection_inside_initial_exclusion(self, rng):
         cfg = tiny_config()  # N_non = 20
         frames = drifting_frames(rng, 20)
-        detections, pipe = run_pipeline(frames, cfg, 16)
+        detections, pipe = live_detections(frames, cfg, 16)
         assert detections == []
         assert len(pipe.index) == 0  # nothing popped yet
 
@@ -175,8 +184,7 @@ class TestProcessFrame:
         for fid, g, lf in drifting_frames(rng, 25):
             pipe.process_frame(fid, g, lf)
         assert len(pipe.fifo) == cfg.n_non
-        fifo, indexed = list(pipe.fifo), len(pipe.index)
-        records, last = list(pipe.records), pipe._last_frame_id
+        fifo, indexed, last = list(pipe.fifo), len(pipe.index), pipe._last_frame_id
         # and descriptors with a NaN or an infinite entry: the type rejects
         # them, so no such frame reaches the pipeline
         for bad in (0.0, np.nan, np.inf):
@@ -186,7 +194,6 @@ class TestProcessFrame:
                 GlobalDescriptor(25, g)
             assert list(pipe.fifo) == fifo
             assert len(pipe.index) == indexed
-            assert pipe.records == records
             assert pipe._last_frame_id == last == 24
             assert 25 not in pipe.locals_store
 
@@ -198,8 +205,7 @@ class TestProcessFrame:
         pipe = LoopClosurePipeline(cfg, 16)
         for fid, g, lf in drifting_frames(rng, 25):
             pipe.process_frame(fid, g, lf)
-        fifo, indexed = list(pipe.fifo), len(pipe.index)
-        records, last = list(pipe.records), pipe._last_frame_id
+        fifo, indexed, last = list(pipe.fifo), len(pipe.index), pipe._last_frame_id
         v = unit_rows(rng, 1, 16)[0]
         g = GlobalDescriptor(24 if named == "global" else 25, v)
         lf = empty_set(24 if named == "locals" else 25, 4)
@@ -207,7 +213,6 @@ class TestProcessFrame:
             pipe.process_frame(25, g, lf)
         assert list(pipe.fifo) == fifo
         assert len(pipe.index) == indexed
-        assert pipe.records == records
         assert pipe._last_frame_id == last == 24
         assert 25 not in pipe.locals_store
         pipe.process_frame(25, GlobalDescriptor(25, v), empty_set(25, 4))
@@ -229,13 +234,12 @@ class TestProcessFrame:
             pipe.process_frame(*frame(fid, 16))
         assert len(pipe.fifo) == cfg.n_non == 2
         fifo, indexed = [fid for fid, _ in pipe.fifo], len(pipe.index)
-        stored, records, last = list(pipe.locals_store), list(pipe.records), pipe._last_frame_id
+        stored, last = list(pipe.locals_store), pipe._last_frame_id
         with pytest.raises(ValueError, match="local descriptor dimension 12 does not match 16"):
             pipe.process_frame(*frame(6, 12))
         assert [fid for fid, _ in pipe.fifo] == fifo
         assert len(pipe.index) == indexed
         assert list(pipe.locals_store) == stored
-        assert pipe.records == records
         assert pipe._last_frame_id == last == 5
         pipe.process_frame(*frame(6, 16))
         pipe.process_frame(*frame(7, 12, count=0))
@@ -244,7 +248,7 @@ class TestProcessFrame:
     def test_detection_starts_on_second_revisit_frame(self):
         # beta = 2: the streak-leading revisit frame is never reported
         ds = small_revisit_dataset()
-        detections, _ = run_pipeline(ds.frames, tiny_config(), 32)
+        detections, _ = live_detections(ds.frames, tiny_config(), 32)
         assert detections, "expected loop detections"
         assert min(d.query_frame for d in detections) == 61
         assert all(d.query_frame != 60 for d in detections)
@@ -252,7 +256,7 @@ class TestProcessFrame:
 
     def test_matched_frames_follow_the_origin(self):
         ds = small_revisit_dataset()
-        detections, _ = run_pipeline(ds.frames, tiny_config(), 32)
+        detections, _ = live_detections(ds.frames, tiny_config(), 32)
         for det in detections:
             assert det.matched_frame == det.query_frame - 50
             assert det.similarity > 0.99
@@ -260,13 +264,13 @@ class TestProcessFrame:
 
     def test_single_frame_revisit_never_detected(self):
         ds = small_revisit_dataset(segments=(RevisitSegment(10, 60, 1),))
-        detections, _ = run_pipeline(ds.frames, tiny_config(), 32)
+        detections, _ = live_detections(ds.frames, tiny_config(), 32)
         assert detections == []
 
     def test_exclusion_zone_safety(self):
         ds = small_revisit_dataset()
         cfg = tiny_config()
-        detections, _ = run_pipeline(ds.frames, cfg, 32)
+        detections, _ = live_detections(ds.frames, cfg, 32)
         assert all(d.query_frame - d.matched_frame >= cfg.n_non for d in detections)
 
     def test_caller_buffer_reuse_does_not_reach_the_index(self, rng):
@@ -299,9 +303,10 @@ class TestProcessFrame:
         # a detection at frame i implies verified records at i-beta+1 .. i
         ds = small_revisit_dataset()
         cfg = tiny_config(beta=3)
-        detections, pipe = run_pipeline(ds.frames, cfg, 32)
+        detections, _ = live_detections(ds.frames, cfg, 32)
+        records, _ = collect_frame_records(ds.frames, cfg, 32)
         assert detections
-        by_frame = {r.query_frame: r for r in pipe.records}
+        by_frame = {r.query_frame: r for r in records}
         for det in detections:
             for back in range(cfg.beta):
                 rec = by_frame[det.query_frame - back]
@@ -311,27 +316,61 @@ class TestProcessFrame:
     def test_determinism(self):
         ds = small_revisit_dataset()
         cfg = tiny_config()
-        d1, _ = run_pipeline(ds.frames, cfg, 32)
-        d2, _ = run_pipeline(ds.frames, cfg, 32)
+        d1, _ = live_detections(ds.frames, cfg, 32)
+        d2, _ = live_detections(ds.frames, cfg, 32)
         assert d1
         assert [(d.query_frame, d.matched_frame, d.inlier_count, d.similarity) for d in d1] == [
             (d.query_frame, d.matched_frame, d.inlier_count, d.similarity) for d in d2
         ]
 
     def test_detection_is_the_frames_record(self):
+        # each detection equals, field by field, what record_frame returns
+        # for its frame on a twin pipeline; only the stage timings differ
         ds = small_revisit_dataset()
-        pipe = LoopClosurePipeline(tiny_config(), 32)
+        pipe, twin = (LoopClosurePipeline(tiny_config(), 32) for _ in range(2))
         returned = [pipe.process_frame(*frame) for frame in ds.frames]
+        records = [twin.record_frame(*frame) for frame in ds.frames]
         assert any(returned)
-        for out, rec in zip(returned, pipe.records):
-            assert out is None or out is rec
+        for out, rec in zip(returned, records):
+            if out is not None:
+                assert (out.query_frame, out.matched_frame, out.inlier_count, out.similarity) == (
+                    rec.query_frame, rec.matched_frame, rec.inlier_count, rec.similarity)
+                assert list(out.stages) == list(rec.stages) == list(pipeline.STAGES)
 
     def test_score_filter_applied_at_ingestion(self):
         ds = small_revisit_dataset()
         cfg = tiny_config(delta=1e9)  # filters every local feature away
-        detections, pipe = run_pipeline(ds.frames, cfg, 32)
+        detections, pipe = live_detections(ds.frames, cfg, 32)
         assert detections == []
         assert all(len(ls) == 0 for ls in pipe.locals_store.values())
+
+
+class TestMemory:
+    def test_process_frame_keeps_nothing_per_frame(self, rng):
+        # past the FIFO, a frame adds a node to the index (allocated in
+        # hnsw.py) and a slot to the local-feature store; nothing else that
+        # pipeline.py allocates may grow with the frames processed
+        pipe = LoopClosurePipeline(tiny_config(), 16)  # N_non = 20
+        frames = drifting_frames(rng, 1050)
+        for frame in frames[:50]:
+            pipe.process_frame(*frame)
+        source = inspect.getsource(pipeline).splitlines()
+        store_line = 1 + next(
+            i for i, line in enumerate(source) if "self.locals_store[frame_id] =" in line
+        )
+        own = [tracemalloc.Filter(True, pipeline.__file__),
+               tracemalloc.Filter(False, pipeline.__file__, store_line)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(own)
+            for frame in frames[50:]:
+                pipe.process_frame(*frame)
+            after = tracemalloc.take_snapshot().filter_traces(own)
+        finally:
+            tracemalloc.stop()
+        assert len(pipe.index) == 1030
+        growth = sum(stat.size_diff for stat in after.compare_to(before, "lineno"))
+        assert growth < 4096, f"{growth} bytes kept over 1,000 frames"
 
 
 class TestSearchableRegion:
@@ -343,7 +382,7 @@ class TestSearchableRegion:
             (i, GlobalDescriptor(i, unit_rows(rng, 1, dim)[0]), empty_set(i, 4))
             for i in range(count)
         ]
-        _, pipe = run_pipeline(frames, cfg, dim)
+        _, pipe = collect_frame_records(frames, cfg, dim)
         return pipe
 
     def test_empty_before_queue_fills(self):
@@ -415,17 +454,18 @@ class TestVerifyCandidates:
     def test_tau_gates_the_record_not_verification(self):
         # a 20-inlier candidate below tau=25 is the frame's recorded best
         # candidate; the gate keeps it from the temporal filter
+        rng = np.random.default_rng(0)
+        cand, pb, desc = self.planted_candidate(rng, 7, 20)
+        v = unit_rows(rng, 1, 16)[0]
+        frames = [(7, GlobalDescriptor(7, v), cand),
+                  (99, GlobalDescriptor(99, v), LocalFeatureSet(99, pb, np.full(20, 50.0), desc))]
         for tau, fires in ((25, False), (20, True)):
-            rng = np.random.default_rng(0)
-            pipe = LoopClosurePipeline(tiny_config(psi=0.1, tau=tau, beta=1, n=5), 16)
-            cand, pb, desc = self.planted_candidate(rng, 7, 20)
-            v = unit_rows(rng, 1, 16)[0]
-            assert pipe.process_frame(7, GlobalDescriptor(7, v), cand) is None
-            detection = pipe.process_frame(
-                99, GlobalDescriptor(99, v), LocalFeatureSet(99, pb, np.full(20, 50.0), desc)
-            )
-            rec = pipe.records[-1]
-            assert (rec.matched_frame, rec.inlier_count) == (7, 20)
+            cfg = tiny_config(psi=0.1, tau=tau, beta=1, n=5)
+            pipe = LoopClosurePipeline(cfg, 16)
+            assert pipe.process_frame(*frames[0]) is None
+            detection = pipe.process_frame(*frames[1])
+            records, _ = collect_frame_records(frames, cfg, 16)
+            assert (records[-1].matched_frame, records[-1].inlier_count) == (7, 20)
             assert (detection is not None) == fires
 
 
@@ -471,17 +511,16 @@ class TestVerificationCalls:
 class TestReplay:
     def test_replay_matches_live_run_across_taus(self):
         ds = small_revisit_dataset(sigma_px=1.0, outlier_fraction=0.3, sigma_desc=0.05)
-        base = tiny_config(tau=0)
-        _, permissive = run_pipeline(ds.frames, base, 32)
+        permissive, _ = collect_frame_records(ds.frames, tiny_config(tau=0), 32)
         for tau in (5, 12, 20, 28):
             cfg = tiny_config(tau=tau)
-            live, live_pipe = run_pipeline(ds.frames, cfg, 32)
-            replayed = replay_detections(permissive.records, tau, cfg.beta, cfg.window)
+            live, _ = live_detections(ds.frames, cfg, 32)
+            replayed = replay_detections(permissive, tau, cfg.beta, cfg.window)
             assert [(d.query_frame, d.matched_frame) for d in live] == [
                 (q, m) for q, m, _ in replayed
             ]
             # the records do not depend on tau
-            assert [(r.query_frame, r.matched_frame, r.inlier_count)
-                    for r in live_pipe.records] == [
-                (r.query_frame, r.matched_frame, r.inlier_count) for r in permissive.records
+            records, _ = collect_frame_records(ds.frames, cfg, 32)
+            assert [(r.query_frame, r.matched_frame, r.inlier_count) for r in records] == [
+                (r.query_frame, r.matched_frame, r.inlier_count) for r in permissive
             ]
