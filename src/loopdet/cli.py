@@ -56,11 +56,12 @@ def _parse_tau_range(raw: str) -> tuple[int, int, int]:
     parts = raw.split(":")
     try:
         lo, hi, step = map(int, parts + ["1"] if len(parts) == 2 else parts)
-        if lo <= hi and step >= 1:
+        if 0 <= lo <= hi and step >= 1:
             return lo, hi, step
     except ValueError:  # not integers, or not two or three of them
         pass
-    raise argparse.ArgumentTypeError(f"expected lo:hi[:step], lo <= hi, step >= 1, got {raw!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected lo:hi[:step], 0 <= lo <= hi, step >= 1, got {raw!r}")
 
 
 def _ints(raw: str, sep: str = ",") -> tuple[int, ...]:
@@ -68,6 +69,12 @@ def _ints(raw: str, sep: str = ",") -> tuple[int, ...]:
         return tuple(int(x) for x in raw.split(sep))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers, got {raw!r}") from None
+
+
+def _non_negative(raw: str) -> int:
+    if raw.strip().isdecimal():
+        return int(raw)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
 
 
 def _positive(raw: str) -> int:
@@ -116,7 +123,7 @@ class RunConfig:
                                  "graph construction beam width", _PIPE)
     ef_search: int = _knob(HnswParams.ef_search, int, "graph search beam width", _PIPE)
     seed: int = _knob(PipelineConfig.seed, int, "base random seed", _STREAM)
-    gt_window: int = _knob(evaluation.GT_WINDOW, int,
+    gt_window: int = _knob(evaluation.GT_WINDOW, _non_negative,
                            "frame tolerance when matching detections to labels", "eval bench")
     tau_range: tuple[int, int, int] = _knob(
         (0, 40, 1), _parse_tau_range, "inlier threshold sweep as lo:hi[:step]", "eval bench"
@@ -184,7 +191,9 @@ def _pipeline_config(cfg: RunConfig, phi: float) -> PipelineConfig:
     def pick(cls) -> dict:
         return {f.name: knobs[f.name] for f in dataclasses.fields(cls) if f.name in knobs}
 
-    return PipelineConfig(**pick(PipelineConfig), hnsw=HnswParams(**pick(HnswParams)))
+    # checked before the graph, so a negative seed is named ``seed``, not ``rng_seed``
+    pipe_cfg = PipelineConfig(**pick(PipelineConfig))
+    return dataclasses.replace(pipe_cfg, hnsw=HnswParams(**pick(HnswParams)))
 
 
 def _resolve(args: argparse.Namespace) -> tuple[RunConfig, float, ContainerHeader | None]:
@@ -408,7 +417,7 @@ def cmd_pca_fit(args: argparse.Namespace) -> int:
     if not collected:
         raise SystemExitError(1, "no local descriptors found to fit on")
     samples = np.vstack(collected)[: args.max_samples]
-    model = fit_pca(samples, args.out_dim, whiten=args.whiten)
+    model = fit_pca(samples, args.out_dim)
     save_pca_model(cfg.out, model)
     logger.info(
         "fit %d-d -> %d-d PCA on %d descriptors%s -> %s",
@@ -481,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("pca-fit", cmd_pca_fit,
                 "fit a PCA reduction on a container's local descriptors")
     p.add_argument("--out-dim", dest="out_dim", type=int, default=DEFAULT_REDUCED_DIM)
-    p.add_argument("--whiten", action="store_true")
     p.add_argument("--max-samples", dest="max_samples", type=_positive, default=50000)
 
     return parser

@@ -143,19 +143,19 @@ def filter_by_score(fs: LocalFeatureSet, delta: float) -> LocalFeatureSet:
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Linear reduction model: centered projection onto orthonormal components.
+    """The chain's PCA step: centered projection onto orthonormal components.
 
     ``basis`` is (raw_dim, out_dim) with orthonormal columns sorted by
     decreasing explained variance; ``eigenvalues`` holds the matching sample
-    variances (non-negative, non-increasing).  All values are finite.  A
-    model is ``degenerate`` (a rank-deficient fit) when a trailing component
-    is an arbitrary orthonormal completion with zero variance.
+    variances (non-negative, non-increasing), which do not scale the
+    projection.  All values are finite.  A model is ``degenerate`` (a
+    rank-deficient fit) when a trailing component is an arbitrary
+    orthonormal completion with zero variance.
     """
 
     mean: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
-    whiten: bool = False
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -184,14 +184,14 @@ class PcaModel:
         return bool((self.eigenvalues <= 0).any())
 
 
-def fit_pca(samples, out_dim: int = DEFAULT_REDUCED_DIM, *, whiten: bool = False) -> PcaModel:
-    """Fit a PCA reduction on L2-normalized raw local descriptors.
+def fit_pca(samples, out_dim: int = DEFAULT_REDUCED_DIM) -> PcaModel:
+    """Fit the PCA step of the reduction chain on raw local descriptors.
 
-    Samples are re-normalized defensively (a no-op for already unit-norm
-    rows), centered, and decomposed; the returned basis spans the top
-    ``out_dim`` principal directions of the sample covariance (1/(n-1)
-    normalization).  A rank-deficient covariance yields a model padded with
-    an orthonormal completion with zero variance, so it is ``degenerate``.
+    Samples are L2-normalized (a no-op for already unit-norm rows),
+    centered, and decomposed; the returned basis spans the top ``out_dim``
+    principal directions of the sample covariance (1/(n-1) normalization).
+    A rank-deficient covariance yields a model padded with an orthonormal
+    completion with zero variance, so it is ``degenerate``.
 
     Raises ``ValueError`` unless the sample count exceeds ``out_dim``.
     """
@@ -213,24 +213,11 @@ def fit_pca(samples, out_dim: int = DEFAULT_REDUCED_DIM, *, whiten: bool = False
     Xc = X - mean
     # full_matrices=False still yields min(n, d) >= out_dim right-singular rows
     _, S, Vt = np.linalg.svd(Xc, full_matrices=False)
-    if S.shape[0] < out_dim:
-        raise ValueError("insufficient singular vectors for requested out_dim")
     # rows are unit vectors, so singular values below the eps floor are noise
     tol = max(n, d) * np.finfo(np.float64).eps * max(S[0], 1.0)
     eigenvalues = (S[:out_dim] ** 2) / (n - 1)
     eigenvalues[S[:out_dim] <= tol] = 0.0
-    return PcaModel(mean, Vt[:out_dim].T, eigenvalues, whiten=whiten)
-
-
-def _project(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    """Center and project normalized descriptors; no re-normalization."""
-    Z = (X - model.mean) @ model.basis
-    if model.whiten:
-        scale = np.sqrt(model.eigenvalues)
-        positive = scale > 0
-        Z[:, positive] /= scale[positive]
-        Z[:, ~positive] = 0.0
-    return Z
+    return PcaModel(mean, Vt[:out_dim].T, eigenvalues)
 
 
 # projections of unit-norm inputs have O(1) coordinates; anything this small
@@ -239,7 +226,7 @@ _ZERO_PROJECTION = 1e-12
 
 
 def reduce_features(model: PcaModel, fs: LocalFeatureSet) -> LocalFeatureSet:
-    """Reduce every local descriptor of a set: L2 norm, centered projection, L2 renorm.
+    """Reduce every local descriptor of a set by the chain: L2 norm, PCA step, L2 renorm.
 
     The reduction runs in float64; the returned set stores it as float32,
     as every set does.  Rows whose raw descriptor is zero or whose
@@ -254,7 +241,7 @@ def reduce_features(model: PcaModel, fs: LocalFeatureSet) -> LocalFeatureSet:
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.0
     Z = np.zeros((X.shape[0], model.out_dim))
-    Z[keep] = _project(model, X[keep] / norms[keep, None])
+    Z[keep] = (X[keep] / norms[keep, None] - model.mean) @ model.basis
     z_norms = np.linalg.norm(Z, axis=1)
     keep &= z_norms > _ZERO_PROJECTION
     out = Z[keep] / z_norms[keep, None]
@@ -262,7 +249,7 @@ def reduce_features(model: PcaModel, fs: LocalFeatureSet) -> LocalFeatureSet:
 
 
 def save_pca_model(path, model: PcaModel) -> None:
-    """Write a model as little-endian binary: FPCA header, mean, basis, eigenvalues.
+    """Write a model as little-endian binary: FPCA header, mean, basis, eigenvalues, u8 0.
 
     :class:`PcaModel` checks the float32 arrays to be written, so a model they
     cannot hold (inf from an overflow) raises ``ValueError`` and writes nothing;
@@ -276,7 +263,7 @@ def save_pca_model(path, model: PcaModel) -> None:
         f.write(struct.pack("<III", PCA_VERSION, model.raw_dim, model.out_dim))
         for a in stored:  # the basis row-major (raw_dim, out_dim)
             f.write(a.tobytes())
-        f.write(struct.pack("<B", 1 if model.whiten else 0))
+        f.write(struct.pack("<B", 0))  # the flag byte, which load_pca_model requires be 0
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
@@ -287,9 +274,9 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 
 def load_pca_model(path) -> PcaModel:
-    """Read a model written by :func:`save_pca_model`; validates magic and
-    version, and checks the payload size that the header's dimensions imply
-    against the file's size before reading it."""
+    """Read a model written by :func:`save_pca_model`; validates magic,
+    version and the zero flag byte, and checks the payload size that the
+    header's dimensions imply against the file's size before reading it."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != PCA_MAGIC:
@@ -310,7 +297,9 @@ def load_pca_model(path) -> PcaModel:
             _read_exact(f, 4 * raw_dim * out_dim, "basis"), dtype="<f4"
         ).reshape(raw_dim, out_dim)
         eig = np.frombuffer(_read_exact(f, 4 * out_dim, "eigenvalues"), dtype="<f4")
-        (whiten,) = struct.unpack("<B", _read_exact(f, 1, "whiten flag"))
+        (flag,) = struct.unpack("<B", _read_exact(f, 1, "flag byte"))
+        if flag != 0:
+            raise ValueError(f"PCA model flag byte is {flag}: a whitened model is not supported")
         if f.read(1):
             raise ValueError("trailing bytes after PCA model payload")
-    return PcaModel(mean, basis, eig, whiten=bool(whiten))
+    return PcaModel(mean, basis, eig)

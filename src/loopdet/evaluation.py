@@ -243,6 +243,8 @@ class SynthConfig:
             raise ValueError(f"features_per_frame must be >= 0, got {self.features_per_frame}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("sigma_global", "sigma_px", "sigma_desc"):
             sigma = getattr(self, name)
             if not 0.0 <= sigma < math.inf:  # also for NaN

@@ -75,6 +75,8 @@ class PipelineConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if self.seed < 0:  # numpy's seed sequences take non-negative entropy only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_non(self) -> int:

@@ -101,7 +101,8 @@ class TestRunConfig:
         cfg = RunConfig.from_text("# comment\npsi=5\n\nn=2\n")
         assert cfg.psi == 5.0 and cfg.n == 2
 
-    @pytest.mark.parametrize("line", ["tau_range=0", "psi=abc"])
+    @pytest.mark.parametrize("line", ["tau_range=0", "psi=abc", "gt_window=-5",
+                                      "tau_range=-5:0:5"])
     def test_malformed_value_names_its_config_line(self, line, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
@@ -132,6 +133,7 @@ class TestDetect:
         (["--psi", "nan"], "psi"),
         (["--delta", 1e39], "delta"),  # inf as the scores' float32
         (["--delta", "nan"], "delta"),  # would drop every feature
+        (["--seed", -1], "seed"),  # numpy would refuse it at the first verification
     ])
     def test_knob_out_of_range_exits_1_without_output(self, argv, knob, synth_paths, tmp_path,
                                                       capsys):
@@ -336,6 +338,15 @@ class TestEval:
         summary = capsys.readouterr().out
         assert "recall_at_100_precision=" in summary
 
+    def test_negative_seed_exits_1_naming_seed(self, synth_paths, tmp_path, capsys):
+        feats, gt = synth_paths
+        out = tmp_path / "pr.csv"
+        capsys.readouterr()
+        assert run(["eval", "--features", feats, "--gt", gt, "--out", out]
+                   + DETECT_FLAGS + ["--seed", -1]) == 1
+        assert one_error(capsys) == "error: seed must be >= 0, got -1"
+        assert not out.exists()
+
     def test_beta_one_reaches_full_recall(self, synth_paths, tmp_path, capsys):
         feats, gt = synth_paths
         code = run(["eval", "--features", feats, "--gt", gt, "--beta", 1,
@@ -379,6 +390,7 @@ class TestSynth:
         ["--psi", "inf"],
         ["--psi", "nan"],
         ["--psi", 1e308, "--phi", 10],  # an inf exclusion zone
+        ["--seed", -1],
     ])
     def test_invalid_stream_exits_1_without_output(self, argv, tmp_path, capsys):
         out = tmp_path / "x.fftc"
@@ -458,6 +470,7 @@ class TestBench:
         ("--ef-list", "20,0", "ef_construction"),
         ("--m-list", "1", "M"),
         ("--n-list", "0", "n"),
+        ("--seed", "-1", "seed"),
     ])
     def test_rejected_list_value_writes_no_table(self, flag, value, field, tmp_path, capsys):
         capsys.readouterr()
@@ -499,7 +512,7 @@ class TestPcaFit:
 
         def pack(fmt, *values):
             formats.append(fmt)
-            if fmt == "<B":  # the whiten flag, written after the header and the arrays
+            if fmt == "<B":  # the flag byte, written after the header and the arrays
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return struct.pack(fmt, *values)
 
@@ -561,7 +574,7 @@ class TestPcaFit:
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
         assert len(errors) == 1 and "64" in errors[0] and "40" in errors[0]
 
-    @pytest.mark.parametrize("damage", ["nan", "truncated"])
+    @pytest.mark.parametrize("damage", ["nan", "truncated", "whitened"])
     def test_damaged_model_exits_1_before_any_work(self, damage, synth_paths, tmp_path, capsys,
                                                    monkeypatch):
         from loopdet import LoopClosurePipeline, PcaModel, save_pca_model
@@ -576,13 +589,19 @@ class TestPcaFit:
         raw = model_path.read_bytes()
         if damage == "nan":  # the first basis entry
             raw = raw[: 16 + 4 * 40] + np.float32(np.nan).tobytes() + raw[16 + 4 * 41 :]
-        model_path.write_bytes(raw if damage == "nan" else raw[:-5])
+        elif damage == "whitened":  # the flag byte an earlier build set for whitening
+            raw = raw[:-1] + bytes([1])
+        else:
+            raw = raw[:-5]
+        model_path.write_bytes(raw)
         out = tmp_path / "det.csv"
         capsys.readouterr()
         assert run(["detect", "--features", feats, "--pca", model_path, "--out", out]
                    + DETECT_FLAGS) == 1
         assert not out.exists()
-        assert ("must be finite" if damage == "nan" else "truncated") in one_error(capsys)
+        message = {"nan": "must be finite", "truncated": "truncated",
+                   "whitened": "flag byte is 1"}[damage]
+        assert message in one_error(capsys)
 
     def test_oversized_header_exits_1_without_reading_the_payload(
             self, synth_paths, tmp_path, capsys, monkeypatch):
@@ -641,11 +660,17 @@ class TestFlagSurface:
         ["synth", "--segments", "1:2"],
         ["synth", "--segments", "1:x:3"],
         ["bench", "--ef-list", "20,x"],
+        # a negative window, and a sweep from a tau that detect --tau refuses
+        ["eval", "--gt-window", "-5"],
+        ["bench", "--gt-window", "-5"],
+        ["eval", "--tau-range=-5:0:5"],
+        ["bench", "--tau-range=-5:0:5"],
     ])
     def test_malformed_list_flag_exits_2_before_any_work(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         line = usage_error(argv + ["--out", out], capsys)
-        assert line.startswith("loopdet ") and "error: argument " + argv[1] in line
+        flag = argv[1].split("=")[0]
+        assert line.startswith("loopdet ") and f"error: argument {flag}: expected" in line
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [
@@ -682,7 +707,7 @@ class TestFlagSurface:
         counts = {name: sum(o.startswith("--") and o != "--help"
                             for a in p._actions for o in a.option_strings)
                   for name, p in sub.choices.items()}
-        assert counts == {"detect": 15, "eval": 16, "synth": 15, "bench": 22, "pca-fit": 6}
+        assert counts == {"detect": 15, "eval": 16, "synth": 15, "bench": 22, "pca-fit": 5}
 
     def test_config_file_keys_of_other_subcommands_still_load(self, synth_paths, tmp_path,
                                                               capsys):

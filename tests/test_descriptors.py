@@ -203,16 +203,6 @@ class TestReduceLocal:
         with pytest.raises(ValueError, match="raw_dim"):
             reduce_features(model, empty_set(3, 5))
 
-    def test_whiten_divides_by_sqrt_eigenvalue(self, rng):
-        samples = rng.standard_normal((100, 8))
-        plain = fit_pca(samples, out_dim=3)
-        whitened = fit_pca(samples, out_dim=3, whiten=True)
-        raw = rng.standard_normal(8)
-        v = raw / np.linalg.norm(raw)
-        z = plain.basis.T @ (v - plain.mean) / np.sqrt(plain.eigenvalues)
-        out = reduce_one(whitened, raw)
-        np.testing.assert_allclose(out.descriptors[0], z / np.linalg.norm(z), atol=1e-9)
-
     def test_reduce_features_matches_per_feature_path(self, rng):
         # each row is reduced independently of the others in its set
         model = self.make_model(rng, raw_dim=16, out_dim=4, n=80)
@@ -256,16 +246,25 @@ class TestFilterByScore:
 
 class TestPcaModelFile:
     def test_round_trip(self, tmp_path, rng):
-        model = fit_pca(rng.standard_normal((60, 12)), out_dim=5, whiten=True)
+        model = fit_pca(rng.standard_normal((60, 12)), out_dim=5)
         path = tmp_path / "model.fpca"
         save_pca_model(path, model)
         loaded = load_pca_model(path)
-        assert (loaded.raw_dim, loaded.out_dim, loaded.whiten) == (12, 5, True)
+        assert (loaded.raw_dim, loaded.out_dim) == (12, 5)
         np.testing.assert_allclose(loaded.mean, model.mean, atol=1e-6)
         np.testing.assert_allclose(loaded.basis, model.basis, atol=1e-6)
         np.testing.assert_allclose(loaded.eigenvalues, model.eigenvalues, atol=1e-6)
         gram = loaded.basis.T @ loaded.basis
         assert np.abs(gram - np.eye(5)).max() < 1e-5
+
+    @pytest.mark.parametrize("raw_dim, out_dim", [(1, 1), (12, 5), (40, 40)])
+    def test_file_is_header_arrays_and_a_zero_flag_byte(self, raw_dim, out_dim, tmp_path):
+        path = tmp_path / "model.fpca"
+        save_pca_model(path, PcaModel(np.zeros(raw_dim), np.eye(raw_dim)[:, :out_dim],
+                                      np.ones(out_dim)))
+        raw = path.read_bytes()
+        assert len(raw) == 16 + 4 * (raw_dim + raw_dim * out_dim + out_dim) + 1
+        assert raw[-1] == 0
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fpca"

@@ -250,6 +250,7 @@ class TestGenerator:
     @pytest.mark.parametrize("field, value", [
         ("dim_global", 0), ("dim_local", 0), ("features_per_frame", -3),
         ("sigma_px", -1.0), ("sigma_desc", math.inf), ("sigma_global", math.nan),
+        ("seed", -1),
     ])
     def test_bad_size_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):

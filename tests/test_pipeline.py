@@ -91,6 +91,10 @@ class TestConfig:
             PipelineConfig(beta=0)
         with pytest.raises(ValueError):
             PipelineConfig(n=0)
+        # numpy would refuse a negative seed only at the first verification,
+        # after the index had changed
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PipelineConfig(seed=-1)
 
 
 class TestTemporalFilter:
