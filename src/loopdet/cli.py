@@ -1,13 +1,16 @@
 """Command-line surface: detect, eval, synth, bench, pca-fit.
 
-Each subcommand takes the :class:`RunConfig` knobs it reads, plus flags of
-its own.  Configuration precedence is defaults < config file (flat
-``key=value`` lines; any knob's key loads, each subcommand reads its own) <
-command-line flags.  Every run echoes the fully resolved parameter set, its
-knobs and its own flags, to standard error.  Exit codes: 0 success, 1
-semantic failure during detection/evaluation, 2 usage or file errors, 3 an
-internal invariant violated (a ``RuntimeError`` such as the exclusion-zone
-check); each failure prints one ``error:`` line.
+Every flag but ``--config`` is a :class:`RunConfig` field, and every field is
+a flag of the subcommands that read it.  Configuration precedence is defaults
+< config file (flat ``key=value`` lines, one key per field) < command-line
+flags.  A config file may hold keys of several subcommands: every key is
+checked when the file loads, but a subcommand reads only its own, and a key
+it does not read never reaches the run.  Every run echoes the fields it
+reads, fully resolved, to standard error.  The log level comes from the
+``FILDPP_LOG`` environment variable, read before the flags are parsed.  Exit
+codes: 0 success, 1 semantic failure during detection/evaluation, 2 usage or
+file errors, 3 an internal invariant violated (a ``RuntimeError`` such as the
+exclusion-zone check); each failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -91,9 +94,16 @@ def _segments(raw: str) -> tuple[tuple[int, ...], ...]:
     return segments
 
 
-def _knob(default, parse, doc: str, commands: str):
-    """A RunConfig field: default, text-form parser, flag help, readers."""
-    return field(default=default, metadata={"parse": parse, "help": doc, "commands": commands})
+def _knob(default, parse, doc: str, commands: str, show=str):
+    """A RunConfig field: default, text-form parser and the ``show`` that
+    writes a value back in that form, flag help, readers."""
+    return field(default=default,
+                 metadata={"parse": parse, "show": show, "help": doc, "commands": commands})
+
+
+def _joined(sep: str):
+    """``show`` for a tuple of integers in the form ``_ints(raw, sep)`` reads."""
+    return lambda values: sep.join(map(str, values))
 
 
 _PIPE = "detect eval bench"  # the subcommands that run the pipeline
@@ -102,10 +112,10 @@ _STREAM = _PIPE + " synth"  # and the one that generates a stream
 
 @dataclass
 class RunConfig:
-    """The one list of run knobs: each field is a ``--flag`` (underscores
-    become dashes) of the subcommands that read it and a config-file key, and
-    serializes to ``key=value`` text, round-trip stable.  A knob's default is
-    the one of the library field it sets."""
+    """The one list of flags: each field is a ``--flag`` (underscores become
+    dashes) of the subcommands that read it and a config-file key, and
+    serializes to ``key=value`` text, round-trip stable.  A field that sets a
+    library field has that field's default."""
 
     psi: float = _knob(PipelineConfig.psi, float, "search-area time constant, seconds", _STREAM)
     phi: float | None = _knob(None, float, "camera frame rate, frames/second "
@@ -126,16 +136,55 @@ class RunConfig:
     gt_window: int = _knob(evaluation.GT_WINDOW, _non_negative,
                            "frame tolerance when matching detections to labels", "eval bench")
     tau_range: tuple[int, int, int] = _knob(
-        (0, 40, 1), _parse_tau_range, "inlier threshold sweep as lo:hi[:step]", "eval bench"
+        (0, 40, 1), _parse_tau_range, "inlier threshold sweep as lo:hi[:step]", "eval bench",
+        show=_joined(":"),
     )
     features: str | None = _knob(None, str, "input feature container (FFTC)", "detect eval pca-fit")
+    pca: str | None = _knob(None, str, "optional PCA model applied to every frame's raw local "
+                                       "descriptors as they are read", "detect")
     gt: str | None = _knob(None, str, "ground-truth CSV path", "eval synth")
     out: str | None = _knob(None, str, "primary output path", _STREAM + " pca-fit")
+    # the synthetic stream
+    frames: int = _knob(2000, int, "trajectory length", "synth")
+    segments: tuple[tuple[int, ...], ...] = _knob(
+        (), _segments, "revisit segments as origin:revisit:length[,...]", "synth",
+        show=lambda segments: ",".join(map(_joined(":"), segments)),
+    )
+    dim_global: int = _knob(SynthConfig.dim_global, int, "global descriptor dimension", "synth")
+    dim_local: int = _knob(SynthConfig.dim_local, int, "local descriptor dimension", "synth")
+    features_per_frame: int = _knob(SynthConfig.features_per_frame, int,
+                                    "local features per frame", "synth")
+    outlier_frac: float = _knob(SynthConfig.outlier_fraction, float,
+                                "share of a loop pair's matchable features that are "
+                                "distractors", "synth")
+    sigma_global: float = _knob(SynthConfig.sigma_global, float,
+                                "norm of the noise on a revisit's global descriptor", "synth")
+    sigma_px: float = _knob(SynthConfig.sigma_px, float, "noise on a revisit's keypoints, pixels",
+                            "synth")
+    sigma_desc: float = _knob(SynthConfig.sigma_desc, float,
+                              "noise on a revisit's local descriptors", "synth")
+    # bench's sweeps and timing stream
+    bench_vectors: int = _knob(2000, _positive, "vectors indexed per graph sweep value", "bench")
+    bench_queries: int = _knob(200, _positive, "queries per graph sweep value", "bench")
+    bench_dim: int = _knob(64, _positive, "dimension of the sweep vectors and of the timing "
+                                          "stream's global descriptors", "bench")
+    bench_frames: int = _knob(1500, _positive, "frames of the timing and n-sweep stream", "bench")
+    k: int = _knob(10, _positive, "neighbours per sweep query (recall@k)", "bench")
+    ef_list: tuple[int, ...] = _knob((20, 40, 80), _ints, "ef sweep values, set as both "
+                                     "ef_construction and ef_search", "bench", show=_joined(","))
+    m_list: tuple[int, ...] = _knob((8, 16, 48), _ints, "M sweep values", "bench",
+                                    show=_joined(","))
+    n_list: tuple[int, ...] = _knob((1, 3, 5, 10), _ints, "n sweep values", "bench",
+                                    show=_joined(","))
+    # pca-fit
+    out_dim: int = _knob(DEFAULT_REDUCED_DIM, int, "reduced local descriptor dimension",
+                         "pca-fit")
+    max_samples: int = _knob(50000, _positive, "most local descriptors fitted on", "pca-fit")
 
     def items(self) -> list[tuple[str, str]]:
-        """Set knobs as (key, text) pairs; the text parses back to the value."""
+        """Set fields as (key, text) pairs; the text parses back to the value."""
         return [
-            (f.name, ":".join(map(str, v)) if f.name == "tau_range" else str(v))
+            (f.name, f.metadata["show"](v))
             for f in dataclasses.fields(self)
             if (v := getattr(self, f.name)) is not None
         ]
@@ -167,26 +216,15 @@ def _knobs(command: str) -> dict[str, dataclasses.Field]:
             if command in f.metadata["commands"].split()}
 
 
-# argparse destinations that are not a subcommand's own flags
-_NOT_OWN = {"command", "func", "config", *(f.name for f in dataclasses.fields(RunConfig))}
-
-
-def _text(value) -> str:
-    """An own flag's value in the text form that flag parses back."""
-    if isinstance(value, tuple):
-        return ",".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
-    return str(value)
-
-
 def _taus(cfg: RunConfig) -> list[int]:
     lo, hi, step = cfg.tau_range
     return list(range(lo, hi + 1, step))
 
 
-def _pipeline_config(cfg: RunConfig, phi: float) -> PipelineConfig:
-    """Map the run knobs onto the pipeline and graph fields of the same name;
+def _pipeline_config(cfg: RunConfig) -> PipelineConfig:
+    """Map the run fields onto the pipeline and graph fields of the same name;
     the graph's ``rng_seed`` is the run ``seed``."""
-    knobs = dataclasses.asdict(cfg) | {"phi": phi, "rng_seed": cfg.seed}
+    knobs = dataclasses.asdict(cfg) | {"rng_seed": cfg.seed}
 
     def pick(cls) -> dict:
         return {f.name: knobs[f.name] for f in dataclasses.fields(cls) if f.name in knobs}
@@ -196,31 +234,29 @@ def _pipeline_config(cfg: RunConfig, phi: float) -> PipelineConfig:
     return dataclasses.replace(pipe_cfg, hnsw=HnswParams(**pick(HnswParams)))
 
 
-def _resolve(args: argparse.Namespace) -> tuple[RunConfig, float, ContainerHeader | None]:
-    """Every subcommand's start-up: resolve the knobs it reads, read the
-    container header if it reads ``features``, default ``phi`` to the
-    header's (else the pipeline's), and echo the knobs, the header's f32
-    image scales at f32 precision and the subcommand's own flags."""
-    cfg = RunConfig()
+def _resolve(args: argparse.Namespace) -> tuple[RunConfig, ContainerHeader | None]:
+    """Every subcommand's start-up: take each field it reads from its flag,
+    else the config file, else the default, and leave every other field at
+    its default; read the container header if it reads ``features``; default
+    ``phi`` to the header's (else the pipeline's); echo those fields and the
+    header's f32 image scales at f32 precision."""
+    loaded = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            cfg = RunConfig.from_text(f.read())
+            loaded = RunConfig.from_text(f.read())  # every key is checked, read or not
     knobs = _knobs(args.command)
-    for name in knobs:
-        if getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
+    cfg = RunConfig(**{name: getattr(loaded, name) if (v := getattr(args, name)) is None else v
+                       for name in knobs})
     header = None
     if "features" in knobs:
         header = read_header(_require(cfg.features, "feature file (--features)"))
-    phi = cfg.phi if cfg.phi is not None else header.phi if header else PipelineConfig.phi
-    resolved = [(k, v) for k, v in dataclasses.replace(cfg, phi=phi).items() if k in knobs]
+    if "phi" in knobs and cfg.phi is None:
+        cfg.phi = header.phi if header else PipelineConfig.phi
+    resolved = [(k, v) for k, v in cfg.items() if k in knobs]
     if header is not None:
         resolved += [(k, str(np.float32(getattr(header, k)))) for k in ("s_g", "s_l")]
-    resolved += [
-        (k, _text(v)) for k, v in vars(args).items() if k not in _NOT_OWN and v is not None
-    ]
     print("resolved config: " + " ".join(f"{k}={v}" for k, v in resolved), file=sys.stderr)
-    return cfg, phi, header
+    return cfg, header
 
 
 def _require(path: str | None, what: str) -> str:
@@ -242,17 +278,16 @@ class SystemExitError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    cfg, phi, header = _resolve(args)
+def cmd_detect(cfg: RunConfig, header: ContainerHeader) -> int:
     frames = read_features(cfg.features)
-    if args.pca:
-        pca = load_pca_model(_require(args.pca, "PCA model (--pca)"))
+    if cfg.pca:
+        pca = load_pca_model(_require(cfg.pca, "PCA model (--pca)"))
         if pca.raw_dim != header.dim_local:
             raise ValueError(f"PCA model is {pca.raw_dim}-d, {cfg.features} holds "
                              f"{header.dim_local}-d local descriptors")
         frames = ((i, g, reduce_features(pca, ls)) for i, g, ls in frames)
     out = cfg.out or "detections.csv"
-    pipeline = LoopClosurePipeline(_pipeline_config(cfg, phi), header.dim_global)
+    pipeline = LoopClosurePipeline(_pipeline_config(cfg), header.dim_global)
     detections = [det for frame in frames if (det := pipeline.process_frame(*frame)) is not None]
     with atomic_output(out, "w") as f:
         f.write("query_frame,matched_frame,inliers,similarity\n")
@@ -266,11 +301,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg, phi, header = _resolve(args)
+def cmd_eval(cfg: RunConfig, header: ContainerHeader) -> int:
     # parsed before the pipeline runs; its frame ids are checked after it
     gt = read_ground_truth(_require(cfg.gt, "ground-truth file (--gt)"))
-    pipe_cfg = _pipeline_config(cfg, phi)
+    pipe_cfg = _pipeline_config(cfg)
     records, _ = collect_frame_records(read_features(cfg.features), pipe_cfg, header.dim_global)
     gt = GroundTruth(gt.pairs, frozenset(r.query_frame for r in records))
     curve = pr_curve((), gt, pipe_cfg, _taus(cfg), gt_window=cfg.gt_window, records=records)
@@ -283,21 +317,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg, phi, _ = _resolve(args)
+def cmd_synth(cfg: RunConfig, _header: None) -> int:
     if not cfg.out:
         raise SystemExitError(2, "missing required output path (--out)")
     synth_cfg = SynthConfig(
-        n_frames=args.frames,
-        segments=tuple(RevisitSegment(*s) for s in args.segments),
-        dim_global=args.dim_global,
-        dim_local=args.dim_local,
-        features_per_frame=args.features_per_frame,
-        outlier_fraction=args.outlier_frac,
-        sigma_global=args.sigma_global,
-        sigma_px=args.sigma_px,
-        sigma_desc=args.sigma_desc,
-        exclusion_zone=PipelineConfig(psi=cfg.psi, phi=phi).n_non,
+        n_frames=cfg.frames,
+        segments=tuple(RevisitSegment(*s) for s in cfg.segments),
+        dim_global=cfg.dim_global,
+        dim_local=cfg.dim_local,
+        features_per_frame=cfg.features_per_frame,
+        outlier_fraction=cfg.outlier_frac,
+        sigma_global=cfg.sigma_global,
+        sigma_px=cfg.sigma_px,
+        sigma_desc=cfg.sigma_desc,
+        exclusion_zone=PipelineConfig(psi=cfg.psi, phi=cfg.phi).n_non,
         seed=cfg.seed,
     )
     dataset = generate_synthetic(synth_cfg)
@@ -307,7 +340,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         write_features(
             cfg.out,
             dataset.frames,
-            phi=phi,
+            phi=cfg.phi,
             dim_global=synth_cfg.dim_global,
             dim_local=synth_cfg.dim_local,
         )
@@ -318,28 +351,27 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg, phi, _ = _resolve(args)
-    pipe_cfg = _pipeline_config(cfg, phi)
+def cmd_bench(cfg: RunConfig, _header: None) -> int:
+    pipe_cfg = _pipeline_config(cfg)
     # every swept configuration is built before the first table, so a list
     # value the library rejects fails before anything is written.  Each graph
     # sweep varies the run's graph settings in the named fields; queries
     # search with the swept graph's default beam, max(ef_search, k)
     sweeps = {
         name: [(v, dataclasses.replace(pipe_cfg.hnsw, **dict.fromkeys(fields, v))) for v in values]
-        for name, values, fields in (("ef", args.ef_list, ("ef_construction", "ef_search")),
-                                     ("M", args.m_list, ("M",)))
+        for name, values, fields in (("ef", cfg.ef_list, ("ef_construction", "ef_search")),
+                                     ("M", cfg.m_list, ("M",)))
     }
-    n_configs = {n: dataclasses.replace(pipe_cfg, n=n) for n in (*args.n_list, cfg.n)}
+    n_configs = {n: dataclasses.replace(pipe_cfg, n=n) for n in (*cfg.n_list, cfg.n)}
     out_dir = cfg.out or "bench"
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
-    dim = args.bench_dim
-    k = args.k
+    dim = cfg.bench_dim
+    k = cfg.k
 
-    data = rng.standard_normal((args.bench_vectors, dim))
+    data = rng.standard_normal((cfg.bench_vectors, dim))
     data /= np.linalg.norm(data, axis=1, keepdims=True)
-    queries = rng.standard_normal((args.bench_queries, dim))
+    queries = rng.standard_normal((cfg.bench_queries, dim))
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     exact = evaluation.exact_knn(data, queries, k)
 
@@ -360,7 +392,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f.write(f"{value},{recall:.6f},{insert_ms:.6f},{query_ms:.6f}\n")
 
     # timing and n sweep run on a planted synthetic trajectory
-    n_frames = args.bench_frames
+    n_frames = cfg.bench_frames
     exclusion = pipe_cfg.n_non
     seg_len = max(10, n_frames // 20)
     origin = max(1, n_frames // 10)
@@ -390,7 +422,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     with atomic_output(os.path.join(out_dir, "n_sweep.csv"), "w") as f:
         f.write("n,recall_at_100_precision,mean_frame_ms\n")
-        for n in args.n_list:
+        for n in cfg.n_list:
             records, ms = passes[n]
             curve = pr_curve((), dataset.ground_truth, n_configs[n], _taus(cfg),
                              gt_window=cfg.gt_window, records=records)
@@ -400,8 +432,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pca_fit(args: argparse.Namespace) -> int:
-    cfg, _, _ = _resolve(args)
+def cmd_pca_fit(cfg: RunConfig, _header: ContainerHeader) -> int:
     if not cfg.out:
         raise SystemExitError(2, "missing required output path (--out)")
 
@@ -412,12 +443,12 @@ def cmd_pca_fit(args: argparse.Namespace) -> int:
             continue
         collected.append(locals_.descriptors)
         total += len(locals_)
-        if total >= args.max_samples:
+        if total >= cfg.max_samples:
             break
     if not collected:
         raise SystemExitError(1, "no local descriptors found to fit on")
-    samples = np.vstack(collected)[: args.max_samples]
-    model = fit_pca(samples, args.out_dim)
+    samples = np.vstack(collected)[: cfg.max_samples]
+    model = fit_pca(samples, cfg.out_dim)
     save_pca_model(cfg.out, model)
     logger.info(
         "fit %d-d -> %d-d PCA on %d descriptors%s -> %s",
@@ -441,57 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Incremental visual loop-closure detection and evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, doc: str) -> argparse.ArgumentParser:
-        """A subcommand with ``--config`` and a flag per knob it reads."""
+    for name, func, doc in (
+        ("detect", cmd_detect, "run the detection pipeline over a feature file"),
+        ("eval", cmd_eval, "precision-recall sweep against ground truth"),
+        ("synth", cmd_synth, "generate a synthetic feature container"),
+        ("bench", cmd_bench, "graph sweeps and per-stage timing tables"),
+        ("pca-fit", cmd_pca_fit, "fit a PCA reduction on a container's local descriptors"),
+    ):
         # no abbreviations: a flag scoped away must not match a longer one
         p = sub.add_parser(name, help=doc, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         for f in _knobs(name).values():
-            p.add_argument(
-                "--" + f.name.replace("_", "-"),
-                dest=f.name,
-                type=f.metadata["parse"],
-                help=f.metadata["help"],
-            )
-        return p
-
-    p = command("detect", cmd_detect, "run the detection pipeline over a feature file")
-    p.add_argument("--pca", help="optional PCA model applied to every frame's raw local "
-                                 "descriptors as they are read")
-
-    command("eval", cmd_eval, "precision-recall sweep against ground truth")
-
-    p = command("synth", cmd_synth, "generate a synthetic feature container")
-    p.add_argument("--frames", type=int, default=2000, help="trajectory length")
-    p.add_argument("--segments", type=_segments, default="",
-                   help="revisit segments as origin:revisit:length[,...]")
-    p.add_argument("--dim-global", dest="dim_global", type=int, default=SynthConfig.dim_global)
-    p.add_argument("--dim-local", dest="dim_local", type=int, default=SynthConfig.dim_local)
-    p.add_argument("--features-per-frame", dest="features_per_frame", type=int,
-                   default=SynthConfig.features_per_frame)
-    p.add_argument("--outlier-frac", dest="outlier_frac", type=float,
-                   default=SynthConfig.outlier_fraction)
-    for name in ("sigma_global", "sigma_px", "sigma_desc"):
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
-                       default=getattr(SynthConfig, name))
-
-    p = command("bench", cmd_bench, "graph sweeps and per-stage timing tables")
-    p.add_argument("--bench-vectors", dest="bench_vectors", type=_positive, default=2000)
-    p.add_argument("--bench-queries", dest="bench_queries", type=_positive, default=200)
-    p.add_argument("--bench-dim", dest="bench_dim", type=_positive, default=64)
-    p.add_argument("--bench-frames", dest="bench_frames", type=_positive, default=1500)
-    p.add_argument("--k", type=_positive, default=10)
-    p.add_argument("--ef-list", dest="ef_list", type=_ints, default="20,40,80")
-    p.add_argument("--m-list", dest="m_list", type=_ints, default="8,16,48")
-    p.add_argument("--n-list", dest="n_list", type=_ints, default="1,3,5,10")
-
-    p = command("pca-fit", cmd_pca_fit,
-                "fit a PCA reduction on a container's local descriptors")
-    p.add_argument("--out-dim", dest="out_dim", type=int, default=DEFAULT_REDUCED_DIM)
-    p.add_argument("--max-samples", dest="max_samples", type=_positive, default=50000)
-
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=f.metadata["parse"], help=f.metadata["help"])
     return parser
 
 
@@ -505,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(*_resolve(args))
     except SystemExitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -73,6 +73,8 @@ def score(
     the pipeline emits at most one detection per query, so tp + fn covers
     each labeled query once.
     """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     tp = 0
     fp = 0
     hit_queries: set[int] = set()
@@ -153,6 +155,10 @@ def pr_curve(
     taus = sorted(tau_range)
     if not taus:
         raise ValueError("tau_range must be non-empty")
+    if taus[0] < 0:
+        raise ValueError(f"tau must be >= 0, got {taus[0]}")
+    if gt_window < 0:  # checked before the pipeline pass
+        raise ValueError(f"gt_window must be >= 0, got {gt_window}")
     if records is None:
         dim = frames[0][1].dim if frames else 1
         records, _ = collect_frame_records(iter(frames), config, dim)

@@ -66,32 +66,43 @@ class TestRunConfig:
         from loopdet import PipelineConfig
         from loopdet.cli import _pipeline_config
 
-        assert _pipeline_config(RunConfig(), PipelineConfig().phi) == PipelineConfig()
+        assert _pipeline_config(RunConfig(phi=PipelineConfig.phi)) == PipelineConfig()
 
     def test_synth_defaults_are_the_generators(self):
         import dataclasses
 
         from loopdet import SynthConfig
-        from loopdet.cli import build_parser
 
-        args = build_parser().parse_args(["synth"])
+        cfg = RunConfig()
         defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
         defaults["outlier_frac"] = defaults["outlier_fraction"]
-        for dest in ("dim_global", "dim_local", "features_per_frame", "outlier_frac",
+        for name in ("dim_global", "dim_local", "features_per_frame", "outlier_frac",
                      "sigma_global", "sigma_px", "sigma_desc"):
-            assert getattr(args, dest) == defaults[dest], dest
+            assert getattr(cfg, name) == defaults[name], name
 
     def test_pca_fit_default_is_the_librarys(self):
-        from loopdet.cli import build_parser
         from loopdet.descriptors import DEFAULT_REDUCED_DIM
 
-        args = build_parser().parse_args(["pca-fit"])
-        assert args.out_dim == DEFAULT_REDUCED_DIM
+        assert RunConfig().out_dim == DEFAULT_REDUCED_DIM
 
     def test_text_round_trip(self):
-        cfg = RunConfig(psi=12.5, n=7, tau_range=(2, 30, 4), features="a.fftc")
-        text = "".join(f"{k}={v}\n" for k, v in cfg.items())
-        assert RunConfig.from_text(text) == cfg
+        import dataclasses
+
+        every = RunConfig(
+            psi=12.5, phi=30.0, n=7, epsilon=0.6, beta=3, tau=9, delta=2.5, M=12,
+            ef_construction=50, ef_search=60, seed=4, gt_window=3, tau_range=(2, 30, 4),
+            features="a.fftc", pca="m.fpca", gt="g.csv", out="o", frames=300,
+            segments=((1, 50, 5), (10, 80, 6)), dim_global=32, dim_local=16,
+            features_per_frame=12, outlier_frac=0.25, sigma_global=0.1, sigma_px=0.5,
+            sigma_desc=0.05, bench_vectors=100, bench_queries=10, bench_dim=8, bench_frames=90,
+            k=3, ef_list=(5, 9), m_list=(4,), n_list=(2, 6), out_dim=12, max_samples=500,
+        )
+        # the second input pins every field's show against its parser
+        assert [f.name for f in dataclasses.fields(RunConfig)
+                if getattr(every, f.name) == f.default] == []
+        for cfg in (RunConfig(psi=12.5, n=7, tau_range=(2, 30, 4), features="a.fftc"), every):
+            text = "".join(f"{k}={v}\n" for k, v in cfg.items())
+            assert RunConfig.from_text(text) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -428,12 +439,17 @@ class TestSynth:
         assert echo["frames"] == "40" and echo["segments"] == "1:22:4,8:30:4"
         assert echo["dim_global"] == "8" and echo["sigma_px"] == "0.0"
         assert "tau" not in echo and "features" not in echo
-        # the echoed own flags parse back to the same run
+        # the echoed values parse back to the same run
         again = ["synth", "--out", tmp_path / "y.fftc"]
         for key in ("frames", "segments", "dim_global", "features_per_frame", "psi", "phi"):
             again += ["--" + key.replace("_", "-"), echo[key]]
         assert run(again) == 0
         assert (tmp_path / "x.fftc").read_bytes() == (tmp_path / "y.fftc").read_bytes()
+        # and so does the echo as a config file, whose out the flag overrides
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in echo.items()))
+        assert run(["synth", "--config", config, "--out", tmp_path / "z.fftc"]) == 0
+        assert (tmp_path / "x.fftc").read_bytes() == (tmp_path / "z.fftc").read_bytes()
 
 
 class TestBench:
@@ -727,6 +743,24 @@ class TestFlagSurface:
         assert run(["eval", "--config", config, "--out", tmp_path / "pr.csv"]) == 0
         echo = echoed(capsys)
         assert echo["tau_range"] == "0:30:5" and "tau" not in echo
+
+    def test_config_keys_a_subcommand_does_not_read_never_reach_its_run(self, synth_paths,
+                                                                        tmp_path, capsys):
+        feats, gt = synth_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("tau=-1\n")
+        plain, loaded = tmp_path / "plain.csv", tmp_path / "loaded.csv"
+        argv = ["eval", "--features", feats, "--gt", gt, "--tau-range", "0:30:5"] + DETECT_FLAGS
+        assert run(argv + ["--out", plain]) == 0
+        assert run(argv + ["--config", config, "--out", loaded]) == 0
+        assert loaded.read_bytes() == plain.read_bytes()
+        assert run(["bench", "--config", config, "--out", tmp_path / "bench", "--bench-frames", 50,
+                    "--bench-vectors", 50, "--bench-queries", 5, "--n-list", 1]) == 0
+        # detect reads tau, so there the key reaches the run
+        capsys.readouterr()
+        assert run(["detect", "--features", feats, "--config", config,
+                    "--out", tmp_path / "det.csv"]) == 1
+        assert one_error(capsys) == "error: tau must be >= 0, got -1"
 
 
 class TestEvalGroundTruth:

@@ -72,6 +72,13 @@ class TestScore:
         assert score([(100, 51)], gt, window=10) == (0, 1, 1)
         assert score([(100, 41)], gt, window=0) == (0, 1, 1)
 
+    def test_negative_window_rejected(self):
+        # at window=-5 an exact match would count as a false positive
+        gt = GroundTruth({500: frozenset({100})})
+        assert score([(500, 100, 30)], gt, window=0) == (1, 0, 0)
+        with pytest.raises(ValueError, match="window must be >= 0, got -5"):
+            score([(500, 100, 30)], gt, window=-5)
+
     def test_unknown_frame_rejected(self):
         gt = gt_of([(100, 40)], frames=range(200))
         with pytest.raises(ValueError, match="unknown"):
@@ -150,6 +157,15 @@ class TestPrCurve:
         ds = revisit_dataset()
         curve = pr_curve(ds.frames, ds.ground_truth, fast_config(), [8, 2, 5])
         assert [p.tau for p in curve] == [2, 5, 8]
+
+    @pytest.mark.parametrize("taus, gt_window, message", [
+        ([-5, 0], 10, "tau must be >= 0, got -5"),
+        ([0, 5], -1, "gt_window must be >= 0, got -1"),
+    ])
+    def test_negative_tau_or_gt_window_rejected(self, taus, gt_window, message):
+        gt = GroundTruth({500: frozenset({100})})
+        with pytest.raises(ValueError, match=message):
+            pr_curve((), gt, PipelineConfig(), taus, gt_window=gt_window, records=[])
 
 
 class TestRecallAtFullPrecision:
