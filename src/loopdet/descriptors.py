@@ -118,7 +118,7 @@ class LocalFeatureSet:
     @functools.cached_property
     def _sq_norms(self) -> np.ndarray:
         """Float32 squared descriptor norms, computed on first use.  A frame's
-        set is matched against every candidate and later stored as one, so
+        set is matched against its candidates and later stored as one, so
         this runs once per frame."""
         D = self.descriptors
         return (D * D).sum(axis=1)

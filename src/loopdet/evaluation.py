@@ -240,7 +240,7 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
+            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.dim_global < 1:
             raise ValueError(f"dim_global must be >= 1, got {self.dim_global}")
         if self.dim_local < 1:
@@ -248,7 +248,7 @@ class SynthConfig:
         if self.features_per_frame < 0:
             raise ValueError(f"features_per_frame must be >= 0, got {self.features_per_frame}")
         if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError("outlier_fraction must be in [0, 1)")
+            raise ValueError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("sigma_global", "sigma_px", "sigma_desc"):

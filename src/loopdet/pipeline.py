@@ -5,8 +5,10 @@ from the FIFO queue into the search index once the queue reaches the
 exclusion size ``N_non = round(psi * phi)``, the top ``n`` revisit
 candidates are retrieved and geometrically verified, and a loop is reported
 only after ``beta`` consecutive frames pass the inlier gate against nearby
-locations.  Frames inside the exclusion window are never searchable, so a
-query can only ever match frames at least ``N_non`` ids behind it.
+locations.  Candidates within ``window`` frame ids of each other form one
+island, and an island whose most similar frame has under 8 matches is not
+matched further.  Frames inside the exclusion window are never searchable,
+so a query can only ever match frames at least ``N_non`` ids behind it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ class PipelineConfig:
     """All pipeline knobs.
 
     ``psi`` (seconds) times ``phi`` (frames/s) defines the exclusion zone;
-    ``n`` candidates are verified per query with ratio threshold ``epsilon``;
+    ``n`` candidates are retrieved per query and matched with ratio
+    threshold ``epsilon``, skipping the rest of an island (candidates within
+    ``window`` of each other) whose most similar frame has under 8 matches;
     ``delta`` filters local features at ingestion; ``beta`` consecutive
     frames whose best candidate reaches ``tau`` inliers are required before
     a loop is reported.  ``tau`` is read only by the inlier gate, never by
@@ -150,8 +154,8 @@ class LoopClosurePipeline:
     :class:`FrameRecord` and keeps nothing of it, so the pipeline grows only
     by its index and its local-feature store.  ``process_frame`` passes that
     record through the inlier gate and the temporal filter.  Both are
-    single-writer; within one call the candidate verifications are
-    independent and merged deterministically in candidate order.
+    single-writer; within one call the candidates are verified one by one
+    in similarity order, so the result is deterministic.
     """
 
     def __init__(self, config: PipelineConfig, dim: int):
@@ -241,21 +245,35 @@ class LoopClosurePipeline:
         """Geometrically verify retrieval candidates; keep the max-inlier one.
 
         Candidates arrive sorted by similarity descending with frame-id tie
-        break, and only a strictly greater inlier count displaces the
-        incumbent, so ties resolve to the higher-similarity candidate.  RANSAC
-        runs with no inlier threshold; ``tau`` is applied later, by the gate.
-        Matching and RANSAC time accumulate in ``stages``.  Returns
-        ``(matched_frame, inlier_count, similarity)``, or ``(None, -1, nan)``
-        if no candidate has 8 matches and a model.
+        break.  Each joins the island of the first earlier candidate within
+        ``window`` frame ids of it, or else heads a new island.  An island
+        is matched only if its head reaches 8 matches; otherwise the rest of
+        it is skipped unmatched.  Every candidate matched with at least 8
+        matches runs RANSAC, and only a strictly greater inlier count
+        displaces the incumbent, so ties resolve to the higher-similarity
+        candidate.  RANSAC runs with no inlier threshold; ``tau`` is applied
+        later, by the gate.  Matching and RANSAC time accumulate in
+        ``stages``.  Returns ``(matched_frame, inlier_count, similarity)``,
+        or ``(None, -1, nan)`` if no matched candidate has 8 matches and a
+        model.
         """
         cfg = self.config
         best = (None, -1, float("nan"))
+        earlier: list[tuple[int, bool]] = []  # (frame id, its island's head reached 8)
         for cand in candidates:
+            live = next((ok for fid, ok in earlier if abs(fid - cand.frame_id) <= cfg.window),
+                        None)
+            if live is False:  # its island's head has under 8 matches
+                earlier.append((cand.frame_id, False))
+                continue
             # every indexed frame was stored before it entered the FIFO
             cand_locals = self.locals_store[cand.frame_id]
             t0 = time.perf_counter()
             matches = brute_force_match(query_locals, cand_locals, cfg.epsilon)
             stages["feature_matching"] += time.perf_counter() - t0
+            if live is None:  # the head of a new island
+                live = len(matches) >= 8
+            earlier.append((cand.frame_id, live))
             if len(matches) < 8:
                 continue
             t0 = time.perf_counter()

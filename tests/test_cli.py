@@ -402,6 +402,8 @@ class TestSynth:
         ["--psi", "nan"],
         ["--psi", 1e308, "--phi", 10],  # an inf exclusion zone
         ["--seed", -1],
+        ["--frames", 0],
+        ["--outlier-frac", 1.5],
     ])
     def test_invalid_stream_exits_1_without_output(self, argv, tmp_path, capsys):
         out = tmp_path / "x.fftc"
@@ -413,6 +415,8 @@ class TestSynth:
         assert len(errors) == 1
         # the line names the offending knob, the last flag given
         assert argv[-2][2:].replace("-", "_") in errors[0]
+        if argv[-2] in ("--frames", "--outlier-frac"):  # named by a field that holds the flag
+            assert errors[0].endswith(f"got {argv[-1]}")
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 

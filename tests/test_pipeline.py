@@ -420,14 +420,17 @@ class TestVerifyCandidates:
         cand = LocalFeatureSet(frame_id, pa, np.full(n_inliers, 50.0), desc)
         return cand, pb, desc
 
+    def junk_candidate(self, rng, frame_id):
+        """Random candidate locals: under 8 matches with these tests' queries."""
+        return LocalFeatureSet(frame_id, rng.uniform(0, 100, (20, 2)), np.full(20, 50.0),
+                               unit_rows(rng, 20, 40))
+
     def build(self, tau=15):
         return LoopClosurePipeline(tiny_config(tau=tau, n=5), 16)
 
     def test_all_failures_give_none(self, rng):
         pipe = self.build()
-        junk = LocalFeatureSet(7, rng.uniform(0, 100, (20, 2)), np.full(20, 50.0),
-                               unit_rows(rng, 20, 40))
-        pipe.locals_store[7] = junk
+        pipe.locals_store[7] = self.junk_candidate(rng, 7)
         query = LocalFeatureSet(99, rng.uniform(0, 100, (20, 2)), np.full(20, 50.0),
                                 unit_rows(rng, 20, 40))
         matched, inliers, sim = verify(pipe, query, [Neighbor(7, 0.9)])
@@ -472,9 +475,49 @@ class TestVerifyCandidates:
             assert (records[-1].matched_frame, records[-1].inlier_count) == (7, 20)
             assert (detection is not None) == fires
 
+    def islands_case(self, rng, monkeypatch, junk_ids, planted_id):
+        """Verify junk candidates, most similar first, then a 35-inlier
+        candidate; returns the result and the candidates the matcher saw."""
+        pipe = self.build()
+        for fid in junk_ids:
+            pipe.locals_store[fid] = self.junk_candidate(rng, fid)
+        cand, pb, desc = self.planted_candidate(rng, planted_id, 35)
+        pipe.locals_store[planted_id] = cand
+        query = LocalFeatureSet(99, pb, np.full(35, 50.0), desc)
+        seen, match = [], pipeline.brute_force_match
+
+        def counted_match(a, b, epsilon):
+            result = match(a, b, epsilon)
+            seen.append((b.frame_id, len(result)))
+            return result
+
+        monkeypatch.setattr(pipeline, "brute_force_match", counted_match)
+        candidates = [Neighbor(fid, 0.99 - 0.01 * i) for i, fid in enumerate(junk_ids)]
+        candidates.append(Neighbor(planted_id, 0.9))
+        return verify(pipe, query, candidates), seen
+
+    def test_island_skipped_when_its_head_has_under_8_matches(self, rng, monkeypatch):
+        # a more similar junk frame within window (15) of a 35-inlier frame
+        # heads their island, so the 35-inlier frame is never matched
+        (matched, inliers, sim), seen = self.islands_case(rng, monkeypatch, [20], 35)
+        assert (matched, inliers) == (None, -1) and np.isnan(sim)
+        assert [fid for fid, _ in seen] == [20] and seen[0][1] < 8
+
+    def test_candidate_beyond_window_heads_its_own_island(self, rng, monkeypatch):
+        result, seen = self.islands_case(rng, monkeypatch, [20], 36)
+        assert result == (36, 35, 0.9)
+        assert [fid for fid, _ in seen] == [20, 36] and seen[0][1] < 8
+
+    def test_candidate_joins_the_island_of_a_skipped_member(self, rng, monkeypatch):
+        # 47 is beyond window of the head 20 but within window of 32, a
+        # skipped member of 20's island, so it is skipped too
+        (matched, inliers, sim), seen = self.islands_case(rng, monkeypatch, [20, 32], 47)
+        assert (matched, inliers) == (None, -1) and np.isnan(sim)
+        assert [fid for fid, _ in seen] == [20] and seen[0][1] < 8
+
 
 class TestVerificationCalls:
-    def test_matcher_and_ransac_run_once_per_candidate(self, monkeypatch):
+    def test_matcher_runs_on_island_heads_and_live_islands(self, monkeypatch):
         # perfbench's tracer wraps these two names in loopdet.pipeline, and
         # reads a call's match count with len()
         searches, matched, verified = [], [], []
@@ -500,16 +543,26 @@ class TestVerificationCalls:
         monkeypatch.setattr(pipeline, "brute_force_match", counted_match)
         monkeypatch.setattr(pipeline, "ransac_fundamental", counted_ransac)
         ds = small_revisit_dataset(outlier_fraction=0.3)
-        pipe = LoopClosurePipeline(tiny_config(), 32)
-        expected = []
+        cfg = tiny_config()
+        pipe = LoopClosurePipeline(cfg, 32)
+        expected, retrieved = [], 0
         for frame_id, g, locals_ in ds.frames:
             searched = len(searches)
             pipe.process_frame(frame_id, g, locals_)
+            counts = {c: m for q, c, m in matched if q == frame_id}
             for found in searches[searched:]:
-                expected += [(frame_id, nb.frame_id) for nb in found]
+                retrieved += len(found)
+                heads = {}  # candidate id -> its island's head id
+                for nb in found:
+                    head = next((heads[c] for c in heads if abs(c - nb.frame_id) <= cfg.window),
+                                nb.frame_id)
+                    heads[nb.frame_id] = head
+                    # a head is always matched, a member only if its head reached 8
+                    if head == nb.frame_id or counts[head] >= 8:
+                        expected.append((frame_id, nb.frame_id))
         assert [(q, c) for q, c, _ in matched] == expected
         assert verified == [call for call in matched if call[2] >= 8]
-        assert 0 < len(verified) < len(matched)
+        assert 0 < len(verified) < len(matched) < retrieved
 
 
 class TestReplay:
