@@ -28,9 +28,6 @@ for frame_id, vector in enumerate(data):
 build = time.perf_counter() - t0
 print(f"inserted {n} descriptors in {build:.1f}s ({build / n * 1e3:.2f} ms each)")
 
-index.audit()
-print("structural audit: degree caps, layer containment, entry point all hold")
-
 truth = exact_knn(data, queries, k)
 print(f"\n{'ef':>5} {'recall@10':>10} {'ms/query':>9}")
 for ef in (10, 20, 40, 80, 160):

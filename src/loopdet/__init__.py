@@ -59,7 +59,6 @@ from .geometry import (
 from .hnsw import (
     HnswIndex,
     HnswParams,
-    IndexAuditError,
     Neighbor,
 )
 from .pipeline import (
@@ -86,7 +85,6 @@ __all__ = [
     "GroundTruth",
     "HnswIndex",
     "HnswParams",
-    "IndexAuditError",
     "LocalFeatureSet",
     "LoopClosurePipeline",
     "Matches",

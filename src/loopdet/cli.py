@@ -337,13 +337,7 @@ def cmd_synth(cfg: RunConfig, _header: None) -> int:
     # the ground truth's temp file is made first and renamed last, so a run
     # that fails writes neither file
     with atomic_output(cfg.gt, "w") if cfg.gt else nullcontext() as gt_file:
-        write_features(
-            cfg.out,
-            dataset.frames,
-            phi=cfg.phi,
-            dim_global=synth_cfg.dim_global,
-            dim_local=synth_cfg.dim_local,
-        )
+        write_features(cfg.out, dataset.frames, phi=cfg.phi)
         if gt_file is not None:
             write_ground_truth(gt_file, dataset.ground_truth)
     logger.info("wrote %d synthetic frames (%d planted loops) -> %s",

@@ -26,10 +26,6 @@ import numpy as np
 from .descriptors import l2_normalize
 
 
-class IndexAuditError(RuntimeError):
-    """The graph violates a structural invariant."""
-
-
 @dataclass(frozen=True)
 class HnswParams:
     """Graph construction and search knobs.
@@ -362,55 +358,3 @@ class HnswIndex:
             out.append(Neighbor(self._ids[i], min(1.0, max(-1.0, sim))))
         out.sort(key=lambda nb: (-nb.similarity, nb.frame_id))
         return out
-
-    # -- integrity ----------------------------------------------------------------
-
-    def audit(self) -> None:
-        """Verify structural invariants; raises :class:`IndexAuditError`.
-
-        Checks degree caps, layer containment, edge validity, per-node layer
-        coverage and entry-point maximality.
-        """
-        n = len(self._ids)
-        if n == 0:
-            if self._entry is not None:
-                raise IndexAuditError("empty index with an entry point")
-            return
-        if self._entry is None:
-            raise IndexAuditError("non-empty index without entry point")
-        levels = np.array(self._levels)
-        if levels[self._entry] != levels.max():
-            raise IndexAuditError("entry point is not on the globally maximal layer")
-        if levels.max() >= len(self._adj):
-            idx = int(np.argmax(levels))
-            raise IndexAuditError(f"node {idx} lacks adjacency for layers 0..{levels[idx]}")
-        for layer in range(len(self._adj)):
-            # the layer's nodes in row order, their degrees, and every link in
-            # row order with its owner node
-            nodes = np.flatnonzero(levels >= layer)
-            counts = self._deg[layer][: nodes.shape[0]]
-            row, pos = np.nonzero(np.arange(self._adj[layer].shape[1]) < counts[:, None])
-            owners, links = nodes[row], self._adj[layer][row, pos]
-            rows = self._rows[layer]
-            if layer and list(rows.items()) != list(zip(nodes.tolist(), range(len(nodes)))):
-                raise IndexAuditError(f"layer {layer} rows do not list the nodes on it")
-            cap = self._adj[layer].shape[1]
-            over = np.flatnonzero(counts > cap)
-            if over.size:
-                i = over[0]
-                raise IndexAuditError(
-                    f"node {nodes[i]} exceeds degree cap on layer {layer}: {counts[i]} > {cap}"
-                )
-            bad = np.flatnonzero((links < 0) | (links >= n))
-            if bad.size:
-                k = bad[0]
-                raise IndexAuditError(f"node {owners[k]} links to missing node {links[k]}")
-            bad = np.flatnonzero(links == owners)
-            if bad.size:
-                raise IndexAuditError(f"node {owners[bad[0]]} links to itself")
-            bad = np.flatnonzero(levels[links] < layer)
-            if bad.size:
-                k = bad[0]
-                raise IndexAuditError(
-                    f"node {owners[k]} links to node {links[k]} above its top layer"
-                )

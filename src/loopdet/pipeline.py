@@ -127,6 +127,10 @@ class TemporalFilter:
     """
 
     def __init__(self, beta: int, window: int):
+        if beta < 1:
+            raise ValueError(f"beta must be >= 1, got {beta}")
+        if window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
         self.beta = beta
         self.window = window
         self._streak: deque[int] = deque(maxlen=beta)

@@ -11,7 +11,6 @@ from loopdet import (
     DegenerateDescriptorError,
     HnswIndex,
     HnswParams,
-    IndexAuditError,
     Neighbor,
     exact_knn,
     mean_recall,
@@ -28,6 +27,37 @@ def build_index(vectors, params=SMALL):
     for i, v in enumerate(vectors):
         index.insert(i, v)
     return index
+
+
+def audit_graph(index):
+    """Assert the structural invariants of a built graph.
+
+    On every layer the rows list the nodes on it in insertion order, no
+    degree exceeds the layer's cap, and every link names another node whose
+    top level is at least the layer; the entry point is on the top level.
+    """
+    levels = np.array(index._levels, dtype=np.int64)
+    assert (index._entry is None) == (len(levels) == 0), "entry point set iff nodes exist"
+    if index._entry is None:
+        return
+    top = levels.max()
+    assert levels[index._entry] == top == index._max_level, "entry point is not on the top level"
+    assert len(index._adj) > top, "a node lacks adjacency for its top level"
+    for layer in range(len(index._adj)):
+        nodes = np.flatnonzero(levels >= layer).tolist()
+        if layer:
+            assert index._rows[layer] == {idx: r for r, idx in enumerate(nodes)}, (
+                f"layer {layer} rows do not list the nodes on it"
+            )
+        cap = index._adj[layer].shape[1]
+        assert cap == (index.params.M0 if layer == 0 else index.params.M)
+        for idx in nodes:
+            deg = index._deg[layer][index._row(idx, layer)]
+            assert deg <= cap, f"node {idx} exceeds degree cap on layer {layer}: {deg} > {cap}"
+            for j in index._neighbors(idx, layer).tolist():
+                assert 0 <= j < len(levels), f"node {idx} links to missing node {j}"
+                assert j != idx, f"node {idx} links to itself"
+                assert levels[j] >= layer, f"node {idx} links to node {j} above its top layer"
 
 
 def cosine(p, q):
@@ -224,7 +254,7 @@ class TestInsert:
         index = HnswIndex(4, SMALL)
         index.insert(3, [1.0, 0.0, 0.0, 0.0])
         assert index._ids == [3]
-        index.audit()
+        audit_graph(index)
         res = index.knn_search([1.0, 0.0, 0.0, 0.0], 1, ef=1)
         assert res == [Neighbor(3, 1.0)]
 
@@ -285,7 +315,7 @@ class TestInsert:
         vectors = unit_rows(rng, 2000, 16)
         params = HnswParams(M=48, ef_construction=40, ef_search=40, rng_seed=5)
         index = build_index(vectors, params)
-        index.audit()
+        audit_graph(index)
         degrees = index._deg[0][: len(index)]
         assert degrees.max() <= 96
         assert [len(index._neighbors(idx, 0)) for idx in range(len(index))] == degrees.tolist()
@@ -555,42 +585,44 @@ class TestDeterminism:
 
 
 class TestAudit:
+    """``audit_graph`` holds on built graphs and fails on each broken invariant."""
+
     def test_passes_after_inserts(self, rng):
-        build_index(unit_rows(rng, 300, 8)).audit()
+        audit_graph(build_index(unit_rows(rng, 300, 8)))
 
     def test_detects_degree_violation(self, rng):
         index = build_index(unit_rows(rng, 50, 8))
         index._deg[0][5] = SMALL.M0 + 1
-        with pytest.raises(IndexAuditError, match="node 5 exceeds degree cap"):
-            index.audit()
+        with pytest.raises(AssertionError, match="node 5 exceeds degree cap"):
+            audit_graph(index)
 
     def test_detects_dangling_edge(self, rng):
         index = build_index(unit_rows(rng, 20, 8))
         index._neighbors(3, 0)[0] = 999
-        with pytest.raises(IndexAuditError, match="node 3 links to missing node 999"):
-            index.audit()
+        with pytest.raises(AssertionError, match="node 3 links to missing node 999"):
+            audit_graph(index)
 
     def test_detects_self_link(self, rng):
         index = build_index(unit_rows(rng, 20, 8))
         index._neighbors(3, 0)[-1] = 3
-        with pytest.raises(IndexAuditError, match="node 3 links to itself"):
-            index.audit()
+        with pytest.raises(AssertionError, match="node 3 links to itself"):
+            audit_graph(index)
 
     def test_detects_link_above_top_layer(self, rng):
         index = build_index(unit_rows(rng, 300, 8))
         upper = next(i for i in range(300) if index._levels[i] >= 1 and len(index._neighbors(i, 1)))
         ground = next(i for i in range(300) if index._levels[i] == 0)
         index._neighbors(upper, 1)[0] = ground
-        with pytest.raises(IndexAuditError, match=f"links to node {ground} above its top layer"):
-            index.audit()
+        with pytest.raises(AssertionError, match=f"links to node {ground} above its top layer"):
+            audit_graph(index)
 
     def test_detects_bad_entry_point(self, rng):
         index = build_index(unit_rows(rng, 100, 8))
         lowest = next(i for i in range(100) if index._levels[i] == 0)
         index._entry = lowest
         if max(index._levels) > 0:
-            with pytest.raises(IndexAuditError, match="entry"):
-                index.audit()
+            with pytest.raises(AssertionError, match="entry"):
+                audit_graph(index)
 
 
 class TestParams:

@@ -11,6 +11,7 @@ import loopdet.pipeline as pipeline
 from loopdet import (
     DegenerateDescriptorError,
     EpipolarScene,
+    FrameRecord,
     GlobalDescriptor,
     HnswIndex,
     HnswParams,
@@ -581,3 +582,14 @@ class TestReplay:
             assert [(r.query_frame, r.matched_frame, r.inlier_count) for r in records] == [
                 (r.query_frame, r.matched_frame, r.inlier_count) for r in permissive
             ]
+
+    def test_bad_beta_or_window_rejected(self):
+        # five records that pass the gate at tau 12: a bad beta or window is
+        # refused by name, not met with a numpy or deque error or an empty list
+        records = [FrameRecord(q, q - 500, 20, 0.9, {}) for q in range(600, 605)]
+        assert len(replay_detections(records, 12, 2, 15)) == 4
+        for beta, window, message in ((0, 15, "beta must be >= 1, got 0"),
+                                      (-1, 15, "beta must be >= 1, got -1"),
+                                      (2, -1, "window must be >= 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                replay_detections(records, 12, beta, window)
