@@ -29,9 +29,8 @@ from loopdet import (
 config = PipelineConfig(
     psi=10.0,            # seconds of history excluded from search
     phi=10.0,            # camera rate: exclusion zone = 100 frames
-    n=5,                 # candidates per query; an island of them within
-                         # n(beta+1) ids is skipped if its most similar
-                         # frame has under 8 matches
+    n=5,                 # candidates per query; of an island of them within
+                         # n(beta+1) ids only the most similar is verified
     epsilon=0.7,         # ratio-test threshold
     beta=2,              # consecutive verified frames required
     tau=15,              # inlier acceptance threshold

@@ -147,7 +147,7 @@ def pr_curve(
 ) -> list[PrPoint]:
     """Sweep the inlier acceptance threshold over one cached pipeline pass.
 
-    The pipeline runs once, recording each frame's max-inlier candidate;
+    The pipeline runs once, recording each frame's max-inlier island head;
     every ``tau`` is then replayed through the inlier gate and the temporal
     filter, which is exact because candidate choice and inlier counts are
     independent of ``tau``.

@@ -6,9 +6,9 @@ exclusion size ``N_non = round(psi * phi)``, the top ``n`` revisit
 candidates are retrieved and geometrically verified, and a loop is reported
 only after ``beta`` consecutive frames pass the inlier gate against nearby
 locations.  Candidates within ``window`` frame ids of each other form one
-island, and an island whose most similar frame has under 8 matches is not
-matched further.  Frames inside the exclusion window are never searchable,
-so a query can only ever match frames at least ``N_non`` ids behind it.
+island, and only its most similar frame, the head, is matched and verified.
+Frames inside the exclusion window are never searchable, so a query can only
+ever match frames at least ``N_non`` ids behind it.
 """
 
 from __future__ import annotations
@@ -39,16 +39,16 @@ class PipelineConfig:
     """All pipeline knobs.
 
     ``psi`` (seconds) times ``phi`` (frames/s) defines the exclusion zone;
-    ``n`` candidates are retrieved per query and matched with ratio
-    threshold ``epsilon``, skipping the rest of an island (candidates within
-    ``window`` of each other) whose most similar frame has under 8 matches;
-    ``delta`` filters local features at ingestion; ``beta`` consecutive
-    frames whose best candidate reaches ``tau`` inliers are required before
-    a loop is reported.  ``tau`` is read only by the inlier gate, never by
-    verification, so the frame records do not depend on it.  The matched
-    frames of a streak must lie within ``window = n * (beta + 1)`` of each
-    other.  RANSAC runs with the fixed settings of
-    :func:`ransac_fundamental` (budget 500, 3 px, 0.99, refit).
+    ``n`` candidates are retrieved per query, and the head (most similar
+    frame) of each island (candidates within ``window`` of each other) is
+    matched with ratio threshold ``epsilon``; ``delta`` filters local
+    features at ingestion; ``beta`` consecutive frames whose best candidate
+    reaches ``tau`` inliers are required before a loop is reported.  ``tau``
+    is read only by the inlier gate, never by verification, so the frame
+    records do not depend on it.  The matched frames of a streak must lie
+    within ``window = n * (beta + 1)`` of each other.  RANSAC runs with the
+    fixed settings of :func:`ransac_fundamental` (budget 500, 3 px, 0.99,
+    refit).
     """
 
     psi: float = 40.0
@@ -95,9 +95,9 @@ class PipelineConfig:
 class FrameRecord:
     """What one processed frame did.
 
-    The frame's id, its max-inlier candidate, whatever ``tau`` is (before the
-    inlier gate and the temporal filter), with ``matched_frame`` None and
-    ``inlier_count`` -1 when no candidate yielded a model, and the
+    The frame's id, its max-inlier island head, whatever ``tau`` is (before
+    the inlier gate and the temporal filter), with ``matched_frame`` None and
+    ``inlier_count`` -1 when no head yielded a model, and the
     wall-clock seconds spent in each of :data:`STAGES` (0.0 for a stage that
     did not run).  A frame that closes a loop is reported as its record.
     """
@@ -158,7 +158,7 @@ class LoopClosurePipeline:
     :class:`FrameRecord` and keeps nothing of it, so the pipeline grows only
     by its index and its local-feature store.  ``process_frame`` passes that
     record through the inlier gate and the temporal filter.  Both are
-    single-writer; within one call the candidates are verified one by one
+    single-writer; within one call the island heads are verified one by one
     in similarity order, so the result is deterministic.
     """
 
@@ -246,38 +246,32 @@ class LoopClosurePipeline:
         candidates: Sequence[Neighbor],
         stages: dict[str, float],
     ) -> tuple[int | None, int, float]:
-        """Geometrically verify retrieval candidates; keep the max-inlier one.
+        """Geometrically verify the island heads; keep the max-inlier one.
 
         Candidates arrive sorted by similarity descending with frame-id tie
-        break.  Each joins the island of the first earlier candidate within
-        ``window`` frame ids of it, or else heads a new island.  An island
-        is matched only if its head reaches 8 matches; otherwise the rest of
-        it is skipped unmatched.  Every candidate matched with at least 8
-        matches runs RANSAC, and only a strictly greater inlier count
-        displaces the incumbent, so ties resolve to the higher-similarity
-        candidate.  RANSAC runs with no inlier threshold; ``tau`` is applied
-        later, by the gate.  Matching and RANSAC time accumulate in
-        ``stages``.  Returns ``(matched_frame, inlier_count, similarity)``,
-        or ``(None, -1, nan)`` if no matched candidate has 8 matches and a
-        model.
+        break.  A candidate within ``window`` frame ids of an earlier one
+        joins that one's island and is never matched; any other heads a new
+        island.  Only heads are matched, and a head with at least 8 matches
+        runs RANSAC.  Only a strictly greater inlier count displaces the
+        incumbent, so ties resolve to the more similar head.  RANSAC runs
+        with no inlier threshold; ``tau`` is applied later, by the gate.
+        Matching and RANSAC time accumulate in ``stages``.  Returns
+        ``(matched_frame, inlier_count, similarity)``, or ``(None, -1, nan)``
+        if no head has 8 matches and a model.
         """
         cfg = self.config
         best = (None, -1, float("nan"))
-        earlier: list[tuple[int, bool]] = []  # (frame id, its island's head reached 8)
+        earlier: list[int] = []  # the ids of the candidates walked so far
         for cand in candidates:
-            live = next((ok for fid, ok in earlier if abs(fid - cand.frame_id) <= cfg.window),
-                        None)
-            if live is False:  # its island's head has under 8 matches
-                earlier.append((cand.frame_id, False))
+            joins = any(abs(fid - cand.frame_id) <= cfg.window for fid in earlier)
+            earlier.append(cand.frame_id)
+            if joins:  # a member of an earlier candidate's island
                 continue
             # every indexed frame was stored before it entered the FIFO
             cand_locals = self.locals_store[cand.frame_id]
             t0 = time.perf_counter()
             matches = brute_force_match(query_locals, cand_locals, cfg.epsilon)
             stages["feature_matching"] += time.perf_counter() - t0
-            if live is None:  # the head of a new island
-                live = len(matches) >= 8
-            earlier.append((cand.frame_id, live))
             if len(matches) < 8:
                 continue
             t0 = time.perf_counter()

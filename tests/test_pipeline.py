@@ -412,6 +412,20 @@ def verify(pipe, query, candidates):
     return pipe.verify_candidates(query, candidates, dict.fromkeys(pipeline.STAGES, 0.0))
 
 
+def count_matches(monkeypatch):
+    """Record (candidate id, match count) of each matcher call the pipeline
+    makes; returns the list the calls append to."""
+    seen, match = [], pipeline.brute_force_match
+
+    def counted_match(a, b, epsilon):
+        result = match(a, b, epsilon)
+        seen.append((b.frame_id, len(result)))
+        return result
+
+    monkeypatch.setattr(pipeline, "brute_force_match", counted_match)
+    return seen
+
+
 class TestVerifyCandidates:
     def planted_candidate(self, rng, frame_id, n_inliers, query_dim=40):
         """Candidate locals plus the matching query-side features."""
@@ -444,20 +458,40 @@ class TestVerifyCandidates:
         query = LocalFeatureSet(99, pb, np.full(40, 50.0), desc)
         assert verify(pipe, query, [Neighbor(7, 0.9)]) == (7, 40, 0.9)
 
-    def test_highest_inlier_candidate_selected(self, rng):
-        # two overlapping revisits of different quality: 20 vs 35 inliers
+    def two_revisits(self, rng, id_a, id_b):
+        """Two overlapping revisits of different quality, 20 vs 35 inliers,
+        stored under ``id_a`` and ``id_b``; returns the pipeline and query."""
         pipe = self.build(tau=15)
-        cand_a, pb_a, desc_a = self.planted_candidate(rng, 7, 20)
-        cand_b, pb_b, desc_b = self.planted_candidate(rng, 8, 35)
-        pipe.locals_store[7] = cand_a
-        pipe.locals_store[8] = cand_b
+        cand_a, pb_a, desc_a = self.planted_candidate(rng, id_a, 20)
+        cand_b, pb_b, desc_b = self.planted_candidate(rng, id_b, 35)
+        pipe.locals_store[id_a] = cand_a
+        pipe.locals_store[id_b] = cand_b
         query = LocalFeatureSet(
             99,
             np.vstack([pb_a, pb_b]),
             np.full(55, 50.0),
             np.vstack([desc_a, desc_b]),
         )
-        assert verify(pipe, query, [Neighbor(7, 0.99), Neighbor(8, 0.98)]) == (8, 35, 0.98)
+        return pipe, query
+
+    def test_island_head_verified_not_its_better_member(self, rng, monkeypatch):
+        # 8 is within window (15) of the more similar 7, so it joins 7's
+        # island and is never matched: the 35-inlier member is lost to the
+        # 20-inlier head, in inlier count only, not in place
+        pipe, query = self.two_revisits(rng, 7, 8)
+        seen = count_matches(monkeypatch)
+        assert verify(pipe, query, [Neighbor(7, 0.99), Neighbor(8, 0.98)]) == (7, 20, 0.99)
+        assert [fid for fid, _ in seen] == [7]
+
+    def test_highest_inlier_head_selected(self, rng, monkeypatch):
+        # the same two sets more than window apart head two islands, and the
+        # max-inlier head wins
+        far_id = 7 + self.build().config.window + 1
+        pipe, query = self.two_revisits(rng, 7, far_id)
+        seen = count_matches(monkeypatch)
+        candidates = [Neighbor(7, 0.99), Neighbor(far_id, 0.98)]
+        assert verify(pipe, query, candidates) == (far_id, 35, 0.98)
+        assert [fid for fid, _ in seen] == [7, far_id]
 
     def test_tau_gates_the_record_not_verification(self):
         # a 20-inlier candidate below tau=25 is the frame's recorded best
@@ -485,14 +519,7 @@ class TestVerifyCandidates:
         cand, pb, desc = self.planted_candidate(rng, planted_id, 35)
         pipe.locals_store[planted_id] = cand
         query = LocalFeatureSet(99, pb, np.full(35, 50.0), desc)
-        seen, match = [], pipeline.brute_force_match
-
-        def counted_match(a, b, epsilon):
-            result = match(a, b, epsilon)
-            seen.append((b.frame_id, len(result)))
-            return result
-
-        monkeypatch.setattr(pipeline, "brute_force_match", counted_match)
+        seen = count_matches(monkeypatch)
         candidates = [Neighbor(fid, 0.99 - 0.01 * i) for i, fid in enumerate(junk_ids)]
         candidates.append(Neighbor(planted_id, 0.9))
         return verify(pipe, query, candidates), seen
@@ -518,7 +545,7 @@ class TestVerifyCandidates:
 
 
 class TestVerificationCalls:
-    def test_matcher_runs_on_island_heads_and_live_islands(self, monkeypatch):
+    def test_matcher_runs_on_island_heads_only(self, monkeypatch):
         # perfbench's tracer wraps these two names in loopdet.pipeline, and
         # reads a call's match count with len()
         searches, matched, verified = [], [], []
@@ -550,20 +577,72 @@ class TestVerificationCalls:
         for frame_id, g, locals_ in ds.frames:
             searched = len(searches)
             pipe.process_frame(frame_id, g, locals_)
-            counts = {c: m for q, c, m in matched if q == frame_id}
             for found in searches[searched:]:
                 retrieved += len(found)
-                heads = {}  # candidate id -> its island's head id
+                walked = []
                 for nb in found:
-                    head = next((heads[c] for c in heads if abs(c - nb.frame_id) <= cfg.window),
-                                nb.frame_id)
-                    heads[nb.frame_id] = head
-                    # a head is always matched, a member only if its head reached 8
-                    if head == nb.frame_id or counts[head] >= 8:
+                    # a head is within window of no more similar candidate
+                    if all(abs(c - nb.frame_id) > cfg.window for c in walked):
                         expected.append((frame_id, nb.frame_id))
+                    walked.append(nb.frame_id)
         assert [(q, c) for q, c, _ in matched] == expected
         assert verified == [call for call in matched if call[2] >= 8]
         assert 0 < len(verified) < len(matched) < retrieved
+
+
+class AllMembersPipeline(LoopClosurePipeline):
+    """Oracle: the pipeline with the earlier verification rule, which
+    matched every member of an island whose head reached 8 matches and ran
+    RANSAC on each member with 8; heads are verified alike.  ``live_sizes``
+    gathers the member count of every such island."""
+
+    def __init__(self, config, dim):
+        super().__init__(config, dim)
+        self.live_sizes = []
+
+    def verify_candidates(self, query_locals, candidates, stages):
+        cfg = self.config
+        best = (None, -1, float("nan"))
+        earlier, live = [], set()  # (frame id, head id); heads that reached 8
+        for cand in candidates:
+            head = next((h for fid, h in earlier if abs(fid - cand.frame_id) <= cfg.window),
+                        cand.frame_id)
+            earlier.append((cand.frame_id, head))
+            if head != cand.frame_id and head not in live:
+                continue
+            cand_locals = self.locals_store[cand.frame_id]
+            matches = pipeline.brute_force_match(query_locals, cand_locals, cfg.epsilon)
+            if len(matches) < 8:
+                continue
+            live.add(head)
+            result = pipeline.ransac_fundamental(
+                matches, query_locals, cand_locals, 0,
+                pipeline._candidate_rng(cfg.seed, query_locals.frame_id, cand.frame_id))
+            if result is not None and result.inlier_count > best[1]:
+                best = (cand.frame_id, result.inlier_count, cand.similarity)
+        self.live_sizes += [sum(h == head for _, h in earlier) for head in live]
+        return best
+
+
+class TestAllMembersOracle:
+    def test_records_equal_the_all_members_rule(self):
+        # on a stream where adjacent views share no features, the head of a
+        # live island always holds the most inliers, so skipping its members
+        # changes no record
+        ds = small_revisit_dataset(outlier_fraction=0.3, sigma_px=1.0)
+        cfg = tiny_config()
+        oracle = AllMembersPipeline(cfg, 32)
+        expected = [oracle.record_frame(*frame) for frame in ds.frames]
+        records, _ = collect_frame_records(ds.frames, cfg, 32)
+
+        def fields(rec):
+            sim = None if rec.matched_frame is None else rec.similarity
+            return rec.query_frame, rec.matched_frame, rec.inlier_count, sim
+
+        assert [fields(r) for r in records] == [fields(r) for r in expected]
+        assert any(r.matched_frame is not None for r in records)
+        # not vacuous: some live island had members the pipeline skipped
+        assert max(oracle.live_sizes) >= 2
 
 
 class TestReplay:
