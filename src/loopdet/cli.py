@@ -48,7 +48,7 @@ from .evaluation import (
     write_pr_csv,
     write_timing_csv,
 )
-from .hnsw import HnswIndex, HnswParams
+from .hnsw import HnswParams
 from .pipeline import LoopClosurePipeline, PipelineConfig, collect_frame_records
 
 LOG_ENV = "FILDPP_LOG"
@@ -163,17 +163,10 @@ class RunConfig:
                             "synth")
     sigma_desc: float = _knob(SynthConfig.sigma_desc, float,
                               "noise on a revisit's local descriptors", "synth")
-    # bench's sweeps and timing stream
-    bench_vectors: int = _knob(2000, _positive, "vectors indexed per graph sweep value", "bench")
-    bench_queries: int = _knob(200, _positive, "queries per graph sweep value", "bench")
-    bench_dim: int = _knob(64, _positive, "dimension of the sweep vectors and of the timing "
-                                          "stream's global descriptors", "bench")
+    # bench's timing and n-sweep stream
+    bench_dim: int = _knob(64, _positive, "global descriptor dimension of the timing and n-sweep "
+                                          "stream", "bench")
     bench_frames: int = _knob(1500, _positive, "frames of the timing and n-sweep stream", "bench")
-    k: int = _knob(10, _positive, "neighbours per sweep query (recall@k)", "bench")
-    ef_list: tuple[int, ...] = _knob((20, 40, 80), _ints, "ef sweep values, set as both "
-                                     "ef_construction and ef_search", "bench", show=_joined(","))
-    m_list: tuple[int, ...] = _knob((8, 16, 48), _ints, "M sweep values", "bench",
-                                    show=_joined(","))
     n_list: tuple[int, ...] = _knob((1, 3, 5, 10), _ints, "n sweep values", "bench",
                                     show=_joined(","))
     # pca-fit
@@ -347,43 +340,12 @@ def cmd_synth(cfg: RunConfig, _header: None) -> int:
 
 def cmd_bench(cfg: RunConfig, _header: None) -> int:
     pipe_cfg = _pipeline_config(cfg)
-    # every swept configuration is built before the first table, so a list
-    # value the library rejects fails before anything is written.  Each graph
-    # sweep varies the run's graph settings in the named fields; queries
-    # search with the swept graph's default beam, max(ef_search, k)
-    sweeps = {
-        name: [(v, dataclasses.replace(pipe_cfg.hnsw, **dict.fromkeys(fields, v))) for v in values]
-        for name, values, fields in (("ef", cfg.ef_list, ("ef_construction", "ef_search")),
-                                     ("M", cfg.m_list, ("M",)))
-    }
+    # every n is configured before the first pass, so an n the library
+    # rejects fails before anything is written
     n_configs = {n: dataclasses.replace(pipe_cfg, n=n) for n in (*cfg.n_list, cfg.n)}
     out_dir = cfg.out or "bench"
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
     dim = cfg.bench_dim
-    k = cfg.k
-
-    data = rng.standard_normal((cfg.bench_vectors, dim))
-    data /= np.linalg.norm(data, axis=1, keepdims=True)
-    queries = rng.standard_normal((cfg.bench_queries, dim))
-    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-    exact = evaluation.exact_knn(data, queries, k)
-
-    for name, swept in sweeps.items():
-        with atomic_output(os.path.join(out_dir, f"{name.lower()}_sweep.csv"), "w") as f:
-            f.write(f"{name},recall,mean_insert_ms,mean_query_ms\n")
-            for value, params in swept:
-                index = HnswIndex(dim, params)
-                t0 = time.perf_counter()
-                for i, v in enumerate(data):
-                    index.insert(i, v)
-                insert_ms = (time.perf_counter() - t0) * 1e3 / len(data)
-                t0 = time.perf_counter()
-                found = [index.knn_search(q, k) for q in queries]
-                query_ms = (time.perf_counter() - t0) * 1e3 / len(queries)
-                recall = evaluation.mean_recall([[nb.frame_id for nb in row] for row in found],
-                                                exact)
-                f.write(f"{value},{recall:.6f},{insert_ms:.6f},{query_ms:.6f}\n")
 
     # timing and n sweep run on a planted synthetic trajectory
     n_frames = cfg.bench_frames
@@ -470,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("detect", cmd_detect, "run the detection pipeline over a feature file"),
         ("eval", cmd_eval, "precision-recall sweep against ground truth"),
         ("synth", cmd_synth, "generate a synthetic feature container"),
-        ("bench", cmd_bench, "graph sweeps and per-stage timing tables"),
+        ("bench", cmd_bench, "per-stage timing and n-sweep tables"),
         ("pca-fit", cmd_pca_fit, "fit a PCA reduction on a container's local descriptors"),
     ):
         # no abbreviations: a flag scoped away must not match a longer one

@@ -80,8 +80,11 @@ class LocalFeatureSet:
     stored as float32, the container's and matching's precision.  Coords and
     scores are finite, scores non-negative, and descriptor entries at most
     ``2**62 / sqrt(d)`` in magnitude, so norms are at most 2**62 (4.6e18) and
-    matching cannot overflow.  The set is frozen because it caches the squared
-    descriptor norms, so ``descriptors`` must not be written in place either.
+    matching cannot overflow.  The largest entry is zero or at least
+    ``2**-60``, so its square stays above float32's smallest normal number
+    (``2**-126``) and matching keeps its precision.  The set is frozen because
+    it caches the squared descriptor norms, so ``descriptors`` must not be
+    written in place either.
     """
 
     frame_id: int
@@ -113,6 +116,9 @@ class LocalFeatureSet:
         peak = float(np.abs(descriptors).max(initial=0.0))
         if not descriptors.shape[1] * peak**2 <= 2.0**124:  # also for NaN
             raise ValueError("descriptors must be finite, entries at most 2**62 / sqrt(d)")
+        if 0.0 < peak < 2.0**-60:
+            raise ValueError(f"largest descriptor entry {peak:.3g} is below 2**-60; "
+                             "matching would lose precision")
         object.__setattr__(self, "descriptors", descriptors)
 
     @functools.cached_property
@@ -163,6 +169,8 @@ class PcaModel:
         eig = np.asarray(self.eigenvalues, dtype=np.float64)
         if basis.ndim != 2 or mean.shape != (basis.shape[0],) or eig.shape != (basis.shape[1],):
             raise ValueError("inconsistent PCA model shapes")
+        if basis.shape[1] < 1:
+            raise ValueError("a PCA model needs out_dim >= 1, got 0")
         if not all(np.isfinite(a).all() for a in (mean, basis, eig)):
             raise ValueError("PCA model mean, basis and eigenvalues must be finite")
         if (eig < 0).any() or (np.diff(eig) > 1e-12).any():

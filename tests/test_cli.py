@@ -94,8 +94,8 @@ class TestRunConfig:
             features="a.fftc", pca="m.fpca", gt="g.csv", out="o", frames=300,
             segments=((1, 50, 5), (10, 80, 6)), dim_global=32, dim_local=16,
             features_per_frame=12, outlier_frac=0.25, sigma_global=0.1, sigma_px=0.5,
-            sigma_desc=0.05, bench_vectors=100, bench_queries=10, bench_dim=8, bench_frames=90,
-            k=3, ef_list=(5, 9), m_list=(4,), n_list=(2, 6), out_dim=12, max_samples=500,
+            sigma_desc=0.05, bench_dim=8, bench_frames=90, n_list=(2, 6), out_dim=12,
+            max_samples=500,
         )
         # the second input pins every field's show against its parser
         assert [f.name for f in dataclasses.fields(RunConfig)
@@ -232,6 +232,41 @@ class TestDetect:
         assert not out.exists()
         error = one_error(capsys)
         assert "corruption" in error and "frame 25" in error and "descriptors" in error
+
+    def test_descriptor_scale_changes_no_record(self, tmp_path, capsys):
+        # local descriptors times s: float32 matching loses its precision
+        # below about s = 1e-20, so a scale either keeps the s = 1 records or
+        # the reader refuses it
+        from loopdet import RevisitSegment, SynthConfig, generate_synthetic, write_features
+
+        frames = generate_synthetic(SynthConfig(
+            n_frames=80, segments=(RevisitSegment(0, 50, 20),), dim_global=16, dim_local=8,
+            features_per_frame=40, exclusion_zone=20, seed=1)).frames
+        clean = tmp_path / "s1.fftc"
+        write_features(clean, frames, phi=10.0)
+        outputs = {}
+        for scale in (1.0, 1e-22, 1e-30):
+            raw = bytearray(clean.read_bytes())
+            start = 32
+            for _, g, ls in frames:
+                start += 8 + 4 * g.dim + 4
+                end = start + 4 * len(ls) * (3 + ls.dim)
+                block = np.frombuffer(raw[start:end], "<f4").reshape(len(ls), -1).copy()
+                block[:, 3:] *= np.float32(scale)
+                raw[start:end] = block.tobytes()
+                start = end
+            feats, out = tmp_path / f"{scale}.fftc", tmp_path / f"{scale}.csv"
+            feats.write_bytes(bytes(raw))
+            capsys.readouterr()
+            code = run(["detect", "--features", feats, "--out", out,
+                        "--psi", 2, "--phi", 10, "--tau", 8])
+            if code == 0:
+                outputs[scale] = out.read_text()
+            else:
+                assert code == 2 and not out.exists()
+                assert one_error(capsys).startswith("error: invalid feature file (corruption)")
+        assert len(outputs[1.0].splitlines()) > 1
+        assert all(text == outputs[1.0] for text in outputs.values())
 
     @pytest.mark.parametrize("frame_count, dim_global, size, code", [
         (0, 40, 32, 0),
@@ -459,44 +494,33 @@ class TestSynth:
 
 class TestBench:
     def test_tables_written_with_monotone_ef_recall(self, tmp_path, capsys):
+        # bench writes only these two tables; graph recall against ef is
+        # test_acceptance.py::test_ef_monotonic_recall's, at N = 5,000
         out = tmp_path / "bench"
-        code = run(["bench", "--out", out, "--bench-vectors", 400,
-                    "--bench-queries", 50, "--bench-frames", 120,
+        code = run(["bench", "--out", out, "--bench-frames", 120,
                     "--psi", 2, "--phi", 10, "--seed", 5, "--M", 8,
                     "--ef-construction", 24, "--ef-search", 24,
-                    "--ef-list", "20,40,80", "--m-list", "6,8",
                     "--n-list", "1,3", "--tau-range", "0:20:5"])
         assert code == 0
-        ef_rows = (out / "ef_sweep.csv").read_text().strip().splitlines()
-        assert ef_rows[0] == "ef,recall,mean_insert_ms,mean_query_ms"
-        assert len(ef_rows) == 4
-        recalls = [float(r.split(",")[1]) for r in ef_rows[1:]]
-        for lo, hi in zip(recalls, recalls[1:]):
-            assert hi >= lo - 0.02
+        assert sorted(p.name for p in out.iterdir()) == ["n_sweep.csv", "timing.csv"]
         timing = (out / "timing.csv").read_text().splitlines()
         assert timing[0] == "stage,mean_ms,std_ms,max_ms,min_ms"
         assert len(timing) > 1
-        assert (out / "m_sweep.csv").exists()
         n_rows = (out / "n_sweep.csv").read_text().strip().splitlines()
         assert n_rows[0] == "n,recall_at_100_precision,mean_frame_ms"
         assert len(n_rows) == 3
         echo = echoed(capsys)
-        assert (echo["bench_vectors"], echo["bench_queries"], echo["bench_frames"]) == (
-            "400", "50", "120")
-        assert (echo["ef_list"], echo["m_list"], echo["n_list"]) == ("20,40,80", "6,8", "1,3")
-        assert (echo["k"], echo["bench_dim"], echo["tau_range"]) == ("10", "64", "0:20:5")
+        assert (echo["bench_frames"], echo["n_list"]) == ("120", "1,3")
+        assert (echo["bench_dim"], echo["tau_range"]) == ("64", "0:20:5")
         assert "features" not in echo and "gt" not in echo
 
     @pytest.mark.parametrize("flag, value, field", [
-        ("--ef-list", "20,0", "ef_construction"),
-        ("--m-list", "1", "M"),
         ("--n-list", "0", "n"),
         ("--seed", "-1", "seed"),
     ])
     def test_rejected_list_value_writes_no_table(self, flag, value, field, tmp_path, capsys):
         capsys.readouterr()
-        code = run(["bench", "--out", tmp_path / "bench", "--bench-frames", 50,
-                    "--bench-vectors", 50, "--bench-queries", 5, flag, value])
+        code = run(["bench", "--out", tmp_path / "bench", "--bench-frames", 50, flag, value])
         assert code == 1
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
         assert len(errors) == 1 and f"{field} must be" in errors[0]
@@ -595,7 +619,7 @@ class TestPcaFit:
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error")]
         assert len(errors) == 1 and "64" in errors[0] and "40" in errors[0]
 
-    @pytest.mark.parametrize("damage", ["nan", "truncated", "whitened"])
+    @pytest.mark.parametrize("damage", ["nan", "truncated", "whitened", "no_components"])
     def test_damaged_model_exits_1_before_any_work(self, damage, synth_paths, tmp_path, capsys,
                                                    monkeypatch):
         from loopdet import LoopClosurePipeline, PcaModel, save_pca_model
@@ -612,6 +636,8 @@ class TestPcaFit:
             raw = raw[: 16 + 4 * 40] + np.float32(np.nan).tobytes() + raw[16 + 4 * 41 :]
         elif damage == "whitened":  # the flag byte an earlier build set for whitening
             raw = raw[:-1] + bytes([1])
+        elif damage == "no_components":  # out_dim 0: the mean, then the flag byte
+            raw = raw[:12] + struct.pack("<I", 0) + raw[16 : 16 + 4 * 40] + bytes(1)
         else:
             raw = raw[:-5]
         model_path.write_bytes(raw)
@@ -621,7 +647,7 @@ class TestPcaFit:
                    + DETECT_FLAGS) == 1
         assert not out.exists()
         message = {"nan": "must be finite", "truncated": "truncated",
-                   "whitened": "flag byte is 1"}[damage]
+                   "whitened": "flag byte is 1", "no_components": "out_dim >= 1"}[damage]
         assert message in one_error(capsys)
 
     def test_oversized_header_exits_1_without_reading_the_payload(
@@ -670,6 +696,10 @@ class TestFlagSurface:
         (["bench", "--gt", 5], "--gt"),
         (["synth", "--features", 5], "--features"),
         (["bench", "--tau", 3], "--tau"),
+        # bench times the pipeline, not the graph on random vectors
+        *((["bench", flag, value], flag) for flag, value in (
+            ("--bench-vectors", 50), ("--bench-queries", 5), ("--k", 10),
+            ("--ef-list", "20,40"), ("--m-list", "8"))),
     ])
     def test_flag_a_subcommand_never_reads_exits_2(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -680,7 +710,7 @@ class TestFlagSurface:
     @pytest.mark.parametrize("argv", [
         ["synth", "--segments", "1:2"],
         ["synth", "--segments", "1:x:3"],
-        ["bench", "--ef-list", "20,x"],
+        ["bench", "--n-list", "20,x"],
         # a negative window, and a sweep from a tau that detect --tau refuses
         ["eval", "--gt-window", "-5"],
         ["bench", "--gt-window", "-5"],
@@ -694,10 +724,7 @@ class TestFlagSurface:
         assert line.startswith("loopdet ") and f"error: argument {flag}: expected" in line
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--bench-vectors", 0), ("--bench-queries", 0), ("--bench-dim", -3),
-        ("--bench-frames", 0), ("--k", "x"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--bench-dim", -3), ("--bench-frames", 0)])
     def test_bench_sizes_must_be_positive(self, flag, value, tmp_path, capsys):
         out = tmp_path / "bench"
         line = usage_error(["bench", flag, value, "--out", out], capsys)
@@ -728,7 +755,7 @@ class TestFlagSurface:
         counts = {name: sum(o.startswith("--") and o != "--help"
                             for a in p._actions for o in a.option_strings)
                   for name, p in sub.choices.items()}
-        assert counts == {"detect": 15, "eval": 16, "synth": 15, "bench": 22, "pca-fit": 5}
+        assert counts == {"detect": 15, "eval": 16, "synth": 15, "bench": 17, "pca-fit": 5}
 
     def test_config_file_keys_of_other_subcommands_still_load(self, synth_paths, tmp_path,
                                                               capsys):
@@ -760,7 +787,7 @@ class TestFlagSurface:
         assert run(argv + ["--config", config, "--out", loaded]) == 0
         assert loaded.read_bytes() == plain.read_bytes()
         assert run(["bench", "--config", config, "--out", tmp_path / "bench", "--bench-frames", 50,
-                    "--bench-vectors", 50, "--bench-queries", 5, "--n-list", 1]) == 0
+                    "--n-list", 1]) == 0
         # detect reads tau, so there the key reaches the run
         capsys.readouterr()
         assert run(["detect", "--features", feats, "--config", config,
@@ -822,7 +849,7 @@ class TestEvalGroundTruth:
 class TestEnvironmentErrors:
     """An unusable output path or log level exits 2 with one line, writing nothing."""
 
-    BENCH = ["bench", "--bench-frames", 50, "--bench-vectors", 50, "--bench-queries", 5]
+    BENCH = ["bench", "--bench-frames", 50]
 
     @pytest.mark.parametrize("out, message", [
         ("taken", "File exists"),

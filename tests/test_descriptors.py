@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -265,6 +266,16 @@ class TestPcaModelFile:
         raw = path.read_bytes()
         assert len(raw) == 16 + 4 * (raw_dim + raw_dim * out_dim + out_dim) + 1
         assert raw[-1] == 0
+
+    def test_zero_components_rejected(self, tmp_path):
+        # such a model drops every local feature; fit_pca never makes one,
+        # but a file can declare one
+        with pytest.raises(ValueError, match="out_dim >= 1"):
+            PcaModel(np.zeros(4), np.zeros((4, 0)), np.zeros(0))
+        path = tmp_path / "empty.fpca"
+        path.write_bytes(b"FPCA" + struct.pack("<III", 1, 4, 0) + bytes(4 * 4 + 1))
+        with pytest.raises(ValueError, match="out_dim >= 1"):
+            load_pca_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fpca"
